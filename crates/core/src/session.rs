@@ -116,37 +116,32 @@ impl PowerSession {
         self.fsm.scale_block(block, factor);
     }
 
-    /// Observes one cycle.
+    /// Observes one cycle: FSM, trace, then whichever taps are attached
+    /// (transaction tracer, activity recorder, telemetry).
+    ///
+    /// Reads no clock. The `session_observe` span is booked by
+    /// [`PowerSession::run`] as one clock pair per call, counted per
+    /// cycle; cycles fed through `observe` directly book no span time.
     pub fn observe(&mut self, snap: &BusSnapshot) {
-        match &mut self.telemetry {
-            None => {
-                let rec = self.fsm.observe(snap);
-                self.trace.push(rec.energy);
-                if let Some(x) = &mut self.txn {
-                    x.observe(snap, &rec);
-                }
-                if let Some(r) = &mut self.recorder {
-                    r.record(snap, rec.instruction);
-                }
-            }
-            Some(t) => {
-                let t0 = Instant::now();
-                let rec = self.fsm.observe(snap);
-                self.trace.push(rec.energy);
-                if let Some(x) = &mut self.txn {
-                    x.observe(snap, &rec);
-                }
-                if let Some(r) = &mut self.recorder {
-                    r.record(snap, rec.instruction);
-                }
-                t.observe_bus(snap);
-                t.observe_power(rec.instruction, &rec.energy, snap.hmaster.index());
-                t.record_observe(t0.elapsed());
-            }
+        let rec = self.fsm.observe(snap);
+        self.trace.push(rec.energy);
+        if let Some(x) = &mut self.txn {
+            x.observe(snap, &rec);
+        }
+        if let Some(r) = &mut self.recorder {
+            r.record(snap, rec.instruction);
+        }
+        if let Some(t) = &mut self.telemetry {
+            t.observe_bus(snap);
+            t.observe_power(rec.instruction, &rec.energy, snap.hmaster.index());
         }
     }
 
     /// Runs `cycles` bus cycles under observation.
+    ///
+    /// With telemetry on, the whole instrumented loop (bus step included)
+    /// is timed by a single clock pair and booked to the `session_observe`
+    /// span as `cycles` invocations.
     pub fn run(&mut self, bus: &mut AhbBus, cycles: u64) {
         if self.telemetry.is_none() && self.txn.is_none() && self.recorder.is_none() {
             // The pre-telemetry hot loop, untouched: sessions without
@@ -157,9 +152,13 @@ impl PowerSession {
                 self.trace.push(rec.energy);
             }
         } else {
+            let t0 = Instant::now();
             for _ in 0..cycles {
                 let snap = bus.step();
                 self.observe(snap);
+            }
+            if let Some(t) = &mut self.telemetry {
+                t.record_observe_run(t0.elapsed(), cycles);
             }
         }
         self.trace.finish();
@@ -399,5 +398,60 @@ mod tests {
         assert!(t
             .to_prometheus()
             .contains("# TYPE ahb_arbitration_latency_cycles histogram"));
+    }
+
+    fn span_counters(session: &mut PowerSession) -> (Option<f64>, Option<f64>) {
+        let reg = session.finish_telemetry().expect("enabled").registry();
+        let labels = [("span", "session_observe")];
+        (
+            reg.counter_value("telemetry_span_invocations_total", &labels),
+            reg.counter_value("telemetry_span_seconds_total", &labels),
+        )
+    }
+
+    #[test]
+    fn run_books_one_span_per_call_counted_per_cycle() {
+        let cfg = AnalysisConfig::paper_testbench();
+        let mut session = PowerSession::with_telemetry(&cfg, TelemetryConfig::enabled("span_test"));
+        let mut b = bus();
+        session.run(&mut b, 17);
+        session.run(&mut b, 23);
+        let (invocations, seconds) = span_counters(&mut session);
+        assert_eq!(invocations, Some(40.0));
+        assert!(seconds.expect("span published") > 0.0);
+
+        let mut idle = PowerSession::with_telemetry(&cfg, TelemetryConfig::enabled("span_test"));
+        idle.run(&mut bus(), 0);
+        assert_eq!(span_counters(&mut idle), (Some(0.0), Some(0.0)));
+    }
+
+    #[test]
+    fn observe_driven_telemetry_matches_run_driven() {
+        let mut cfg = AnalysisConfig::paper_testbench();
+        cfg.n_masters = 2;
+        cfg.n_slaves = 2;
+        let tcfg = TelemetryConfig::enabled("session_test");
+        let mut ran = PowerSession::with_telemetry(&cfg, tcfg.clone());
+        ran.run(&mut bus(), 40);
+
+        let mut stepped = PowerSession::with_telemetry(&cfg, tcfg);
+        let mut b = bus();
+        for _ in 0..40 {
+            stepped.observe(b.step());
+        }
+        assert_eq!(
+            stepped.total_energy().to_bits(),
+            ran.total_energy().to_bits()
+        );
+        let cycles = |s: &mut PowerSession| {
+            s.finish_telemetry()
+                .expect("enabled")
+                .registry()
+                .counter_value("ahb_cycles_total", &[])
+        };
+        assert_eq!(cycles(&mut stepped), Some(40.0));
+        assert_eq!(cycles(&mut ran), Some(40.0));
+        // Per-cycle callers of `observe` read no clock and book no span.
+        assert_eq!(span_counters(&mut stepped), (Some(0.0), Some(0.0)));
     }
 }

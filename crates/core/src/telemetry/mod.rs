@@ -6,7 +6,9 @@
 //! telemetry state at all and its hot loop is the same code path as before
 //! this module existed (one `Option` discriminant test per run, not per
 //! cycle). When enabled, the session feeds every [`BusSnapshot`] to a
-//! [`BusPerfAnalyzer`] and times its own observer loop; at the end of the
+//! [`BusPerfAnalyzer`] and times its own observer loop as the
+//! `session_observe` span: one clock pair per [`crate::PowerSession::run`]
+//! call, counted per cycle, so no clock is read per cycle; at the end of the
 //! run [`Telemetry::finalize`] folds the analyzers, the power FSM's
 //! ledgers and any kernel profile into a [`MetricsRegistry`], which the
 //! exporters render in three formats.
@@ -211,10 +213,18 @@ impl Telemetry {
         }
     }
 
-    /// Books one timed pass of the session's observer hot loop.
+    /// Books one timed observed cycle to the `session_observe` span.
     #[inline]
     pub fn record_observe(&mut self, elapsed: Duration) {
         self.spans.record(self.observe_span, elapsed);
+    }
+
+    /// Books one timed [`crate::PowerSession::run`] of `cycles` observed
+    /// cycles to the `session_observe` span: the count grows by `cycles`,
+    /// the total by `elapsed`. A zero-cycle run books nothing.
+    #[inline]
+    pub fn record_observe_run(&mut self, elapsed: Duration, cycles: u64) {
+        self.spans.record_n(self.observe_span, elapsed, cycles);
     }
 
     /// Feeds one cycle's instruction and per-block energy (attributed

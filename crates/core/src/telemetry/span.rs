@@ -2,8 +2,11 @@
 //!
 //! [`SpanSet`] is the analysis-layer sibling of the kernel's
 //! [`ahbpower_sim::KernelProfile`]: a flat table of [`SpanStat`]
-//! accumulators addressed by [`SpanId`] handles, so timing a span on the
-//! hot path costs two `Instant::now()` calls and a few additions.
+//! accumulators addressed by [`SpanId`] handles, so timing a span costs
+//! two `Instant::now()` calls and a few additions. Hot loops should time
+//! a whole batch with one clock pair and book it with
+//! [`SpanSet::record_n`]: the session's own `session_observe` span is one
+//! clock pair per [`crate::PowerSession::run`], counted per cycle.
 
 use std::time::{Duration, Instant};
 
@@ -67,6 +70,14 @@ impl SpanSet {
         self.stats[id.0].record(elapsed);
     }
 
+    /// Folds one externally measured duration covering `n` executions
+    /// into a span: the count grows by `n`, the total by `elapsed`, and
+    /// `elapsed` competes for `max` as one booking. `n = 0` is a no-op.
+    #[inline]
+    pub fn record_n(&mut self, id: SpanId, elapsed: Duration, n: u64) {
+        self.stats[id.0].record_n(elapsed, n);
+    }
+
     /// The accumulator for one span.
     pub fn stat(&self, id: SpanId) -> &SpanStat {
         &self.stats[id.0]
@@ -108,6 +119,30 @@ mod tests {
         assert_eq!(names, vec!["observe", "export"]);
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn record_n_books_one_batch_of_n_executions() {
+        let mut s = SpanSet::new();
+        let id = s.register("batch");
+        s.record_n(id, Duration::from_micros(5), 17);
+        s.record_n(id, Duration::from_micros(9), 23);
+        s.record_n(id, Duration::from_micros(2), 3);
+        let st = s.stat(id);
+        assert_eq!(st.count, 43);
+        assert_eq!(st.total, Duration::from_micros(16));
+        assert_eq!(
+            st.max,
+            Duration::from_micros(9),
+            "max is the largest booking"
+        );
+        // n = 0 is a no-op, even with a duration that would set a new max.
+        s.record_n(id, Duration::from_secs(1), 0);
+        let st = s.stat(id);
+        assert_eq!(
+            (st.count, st.total, st.max),
+            (43, Duration::from_micros(16), Duration::from_micros(9))
+        );
     }
 
     #[test]

@@ -26,20 +26,34 @@ impl SpanStat {
     /// Folds one measured execution into the accumulator.
     #[inline]
     pub fn record(&mut self, elapsed: Duration) {
-        self.count += 1;
+        self.record_n(elapsed, 1);
+    }
+
+    /// Folds one measured duration that covered `n` executions (a batch
+    /// timed by a single clock pair). `elapsed` counts as one booking for
+    /// `max`; `n = 0` is a no-op.
+    #[inline]
+    pub fn record_n(&mut self, elapsed: Duration, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.count += n;
         self.total += elapsed;
         if elapsed > self.max {
             self.max = elapsed;
         }
     }
 
-    /// Mean time per execution (zero when the span never ran).
+    /// Mean time per execution (zero when the span never ran). Exact for
+    /// any `count`: the total nanoseconds are divided in `u128`.
     pub fn mean(&self) -> Duration {
         if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / u32::try_from(self.count).unwrap_or(u32::MAX)
+            return Duration::ZERO;
         }
+        let ns = self.total.as_nanos() / u128::from(self.count);
+        let secs = u64::try_from(ns / 1_000_000_000).unwrap_or(u64::MAX);
+        // The remainder is below 1e9, so it always fits a u32.
+        Duration::new(secs, (ns % 1_000_000_000) as u32)
     }
 }
 
@@ -128,6 +142,24 @@ mod tests {
         assert_eq!(s.max, Duration::from_micros(4));
         assert_eq!(s.mean(), Duration::from_micros(3));
         assert_eq!(SpanStat::default().mean(), Duration::ZERO);
+    }
+
+    #[test]
+    fn mean_is_exact_past_u32_max_invocations() {
+        // 5e9 executions of 100 ns each; the old u32-capped divisor
+        // reported ~116 ns here.
+        let s = SpanStat {
+            count: 5_000_000_000,
+            total: Duration::from_secs(500),
+            max: Duration::from_nanos(100),
+        };
+        assert_eq!(s.mean(), Duration::from_nanos(100));
+        let long = SpanStat {
+            count: 3,
+            total: Duration::new(7, 500_000_001),
+            max: Duration::ZERO,
+        };
+        assert_eq!(long.mean(), Duration::new(2, 500_000_000));
     }
 
     #[test]
