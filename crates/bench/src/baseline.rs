@@ -14,6 +14,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use ahbpower::telemetry::json_num;
 use ahbpower::SubBlock;
 use ahbpower_ahb::CycleHistogram;
 use ahbpower_workloads::PaperTestbench;
@@ -110,17 +111,6 @@ impl From<JsonError> for BaselineError {
     }
 }
 
-/// A JSON-safe float (non-finite becomes `null`; `f64` Display output
-/// round-trips exactly through `str::parse`, which keeps unchanged-code
-/// comparisons drift-free).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// Records a baseline by running the paper testbench for `cycles` at
 /// `seed`, optionally scaling one sub-block's coefficients first (the
 /// negative-test hook `check.sh` uses to prove the gate trips).
@@ -179,14 +169,18 @@ impl BaselineSnapshot {
         let _ = writeln!(out, "  \"scenario\": \"{}\",", self.scenario);
         let _ = writeln!(out, "  \"cycles\": {},", self.cycles);
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"total_energy_j\": {},", num(self.total_energy_j));
+        let _ = writeln!(
+            out,
+            "  \"total_energy_j\": {},",
+            json_num(self.total_energy_j)
+        );
         let _ = writeln!(
             out,
             "  \"window_power\": {{\"windows\": {}, \"p50_uw\": {}, \"p95_uw\": {}, \"p99_uw\": {}}},",
             self.window_power.windows,
-            num(self.window_power.p50_uw),
-            num(self.window_power.p95_uw),
-            num(self.window_power.p99_uw)
+            json_num(self.window_power.p50_uw),
+            json_num(self.window_power.p95_uw),
+            json_num(self.window_power.p99_uw)
         );
         let _ = writeln!(out, "  \"rows\": [");
         for (i, r) in self.rows.iter().enumerate() {
@@ -196,8 +190,8 @@ impl BaselineSnapshot {
                 "    {{\"name\": \"{}\", \"count\": {}, \"total_j\": {}, \"mean_j\": {}}}{comma}",
                 r.name,
                 r.count,
-                num(r.total_j),
-                num(r.mean_j)
+                json_num(r.total_j),
+                json_num(r.mean_j)
             );
         }
         let _ = writeln!(out, "  ]");

@@ -117,9 +117,8 @@ function setShard(value) {
 }
 
 function renderShardSelector(s) {
-  // Single-shard /status (drill-down) omits the plane-level "shards"
-  // field — remember the largest count seen so the selector survives
-  // switching into a shard and back.
+  // Every /status (merged or drill-down) carries the plane-level
+  // "shards" count; keep the largest seen so the selector is built once.
   var n = s.shards || 1;
   var sel = byId("shardsel");
   if (n > shardCount) {

@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use ahbpower::telemetry::{AnomalyEvent, DetectorState, Event, EventKind, Observatory};
+use ahbpower::telemetry::{json_num, AnomalyEvent, DetectorState, Event, EventKind, Observatory};
 
 use crate::baseline::write_atomic;
 use crate::json::validate_json;
@@ -169,10 +169,10 @@ fn render_bundle(
                 "{{\"window\":{},\"start_cycle\":{},\"measured_j\":{},\"predicted_j\":{},\"deviation_pct\":{},\"z_score\":{}}}",
                 a.window,
                 a.start_cycle,
-                jnum(a.measured_j),
-                jnum(a.predicted_j),
-                jnum(a.deviation_pct),
-                jnum(a.z_score)
+                json_num(a.measured_j),
+                json_num(a.predicted_j),
+                json_num(a.deviation_pct),
+                json_num(a.z_score)
             );
         }
         None => out.push_str("null"),
@@ -187,8 +187,8 @@ fn render_bundle(
                 d.windows,
                 d.baseline_updates,
                 d.flagged,
-                jnum(d.resid_mean),
-                jnum(d.resid_var),
+                json_num(d.resid_mean),
+                json_num(d.resid_var),
                 d.resid_primed
             );
         }
@@ -210,9 +210,9 @@ fn render_bundle(
                     "{{\"window\":{},\"start_cycle\":{},\"energy_j\":{},\"min\":{},\"max\":{}}}",
                     p.start_window,
                     p.start_cycle,
-                    jnum(p.sum),
-                    jnum(p.min),
-                    jnum(p.max)
+                    json_num(p.sum),
+                    json_num(p.min),
+                    json_num(p.max)
                 );
             }
         }
@@ -260,15 +260,6 @@ fn render_bundle(
     }
     out.push_str("}}");
     out
-}
-
-/// A JSON-safe float (non-finite values become `null`).
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use std::fmt::Write as _;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use ahbpower::telemetry::{json_escape, json_num};
 use ahbpower_ahb::CycleHistogram;
 
 use crate::serve::http_get;
@@ -217,13 +218,13 @@ pub fn loadgen_report_json(report: &LoadgenReport, shards: usize) -> String {
         "{{\"bench\":\"serve_loadgen\",\"addr\":\"{}\",\"shards\":{shards},\"concurrency\":{},\"duration_s\":{},\"requests\":{requests},\"ok\":{},\"shed\":{},\"errors\":{},\"throughput_rps\":{},\"shed_rate\":{},\"error_rate\":{},\"endpoints\":[",
         report.addr,
         report.concurrency,
-        jnum(report.duration_s),
+        json_num(report.duration_s),
         report.ok(),
         report.shed(),
         report.errors(),
-        jnum(report.throughput_rps()),
-        jnum(rate(report.shed())),
-        jnum(rate(report.errors()))
+        json_num(report.throughput_rps()),
+        json_num(rate(report.shed())),
+        json_num(rate(report.errors()))
     );
     for (i, e) in report.endpoints.iter().enumerate() {
         if i > 0 {
@@ -237,38 +238,13 @@ pub fn loadgen_report_json(report: &LoadgenReport, shards: usize) -> String {
             e.ok,
             e.shed,
             e.errors,
-            jnum(e.latency_us.quantile(0.5)),
-            jnum(e.latency_us.quantile(0.95)),
-            jnum(e.latency_us.quantile(0.99))
+            json_num(e.latency_us.quantile(0.5)),
+            json_num(e.latency_us.quantile(0.95)),
+            json_num(e.latency_us.quantile(0.99))
         );
     }
     out.push_str("]}");
     out
-}
-
-/// Escapes the characters a URL path could smuggle into a JSON string.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// A JSON-safe float (non-finite values become `null`).
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]

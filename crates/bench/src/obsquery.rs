@@ -4,7 +4,7 @@
 //! byte-identical JSON. The shared renderer lives here so the two paths
 //! cannot drift.
 
-use ahbpower::telemetry::{Observatory, QueryResult, SeriesPoint};
+use ahbpower::telemetry::{json_num, Observatory, QueryResult, SeriesPoint};
 
 use crate::json::{parse_json, JsonValue};
 
@@ -241,23 +241,14 @@ pub fn query_result_json(q: &QueryResult) -> String {
             p.start_window,
             p.start_cycle,
             p.windows,
-            jnum(p.min),
-            jnum(p.max),
-            jnum(p.sum),
-            jnum(p.last)
+            json_num(p.min),
+            json_num(p.max),
+            json_num(p.sum),
+            json_num(p.last)
         );
     }
     out.push_str("]}");
     out
-}
-
-/// A JSON-safe float (non-finite values become `null`).
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]

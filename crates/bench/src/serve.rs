@@ -5,25 +5,30 @@
 //! thread-pool HTTP server with a connection limit and 503
 //! load-shedding — zero crates beyond `std::net`.
 //!
-//! The HTTP plane is *merged*: `/status`, `/healthz` and `/metrics`
-//! aggregate all shards (counters add, histograms bucket-merge via
-//! [`MetricsRegistry::merge_sum`], degraded flags OR together) while
-//! `?shard=N` drills into one shard; `/query` fans out to every shard
-//! observatory and composes sum/min/max per bucket (so the merged
-//! energy total equals the sum of the per-shard totals exactly); and
-//! `/events` exposes an aggregated cursor space — one absolute
-//! sequence per shard, dot-joined (`since=12.34`), with per-shard
-//! `dropped` accounting and shard-tagged events.
+//! After every slice a worker updates its shard's `ShardSnapshot` in
+//! place: plain counters and histograms, no observatory and no event
+//! log. `/status`, `/healthz`, `/metrics` and `/events` each have one
+//! renderer. The first three copy the addressed snapshots (every
+//! shard, or one with `?shard=K`) out from under their locks and fold
+//! them with `ShardSnapshot::merge`: counts add, a mean is total/count
+//! of the merged rows, histograms bucket-merge, high-water marks take
+//! the max and flags OR. The merge is rendered once, so one shard is a
+//! merge of one. `/metrics` adds the plane's own gauges and, across
+//! several shards, every shard's series under a `shard="K"` label.
 //!
-//! Every slice, each shard republishes a fresh [`MetricsRegistry`]
-//! snapshot into its shared state; the HTTP pool renders merged views
-//! with the same exporters the offline `telemetry` subcommand uses. On
-//! shutdown the merged registry and status document plus per-shard
-//! events/observatory snapshots are flushed atomically to the results
-//! directory, so a `/quit` (or slice budgets running out) always
-//! leaves complete, readable artifacts.
+//! `/query` fans out to every shard observatory and composes
+//! sum/min/max per bucket, so the merged energy total equals the sum of
+//! the per-shard totals exactly. `/events` reads the addressed rings:
+//! one ring pages a numeric cursor; several page an aggregated cursor
+//! space of dot-joined per-shard sequences (`since=12.34`) with
+//! per-shard `dropped` accounting and shard-tagged events.
+//!
+//! On shutdown the same renderers write `serve_final.jsonl` and
+//! `serve_status.json`, and every shard's events and observatory are
+//! flushed atomically to the results directory, so a `/quit` (or slice
+//! budgets running out) always leaves complete, readable artifacts.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::{self, Read as _, Write as _};
@@ -36,11 +41,12 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ahbpower::telemetry::{
-    events_to_jsonl, to_prometheus, AnomalyConfig, AnomalyEvent, DetectorState, Event, EventBatch,
-    EventBus, EventKind, ExportMeta, MetricsRegistry, Observatory, ObservatoryConfig, QueryResult,
-    TelemetryConfig, DEFAULT_EVENT_CAPACITY, OBSERVATORY_LEVEL_FACTORS,
+    events_to_jsonl, json_num, to_jsonl, to_prometheus, AnomalyConfig, AnomalyEvent, DetectorState,
+    Event, EventBatch, EventBus, EventKind, ExportMeta, MetricsRegistry, Observatory,
+    ObservatoryConfig, QueryResult, TelemetryConfig, DEFAULT_EVENT_CAPACITY,
+    OBSERVATORY_LEVEL_FACTORS,
 };
-use ahbpower::{AnalysisConfig, PowerSession, SubBlock};
+use ahbpower::{AnalysisConfig, InstructionLedger, PowerSession, SubBlock};
 use ahbpower_ahb::CycleHistogram;
 use ahbpower_workloads::{PaperTestbench, SocScenario};
 
@@ -69,6 +75,11 @@ const EVENTS_POLL_CAP_MS: u64 = 5_000;
 /// `seed + k * SHARD_SEED_STRIDE + i`, so shards never replay each
 /// other's workloads for any realistic slice budget.
 pub const SHARD_SEED_STRIDE: u64 = 1_000_000;
+
+/// Shard `shard`'s seed lane: `seed + shard * SHARD_SEED_STRIDE`.
+fn shard_seed(seed: u64, shard: usize) -> u64 {
+    seed + shard as u64 * SHARD_SEED_STRIDE
+}
 
 /// Which workloads the worker rotates through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,427 +256,346 @@ impl From<io::Error> for ServeError {
     }
 }
 
-/// Live state shared between one shard's worker and the HTTP pool.
-#[derive(Debug)]
-struct LiveState {
-    started: Instant,
-    shard: usize,
-    mix: ScenarioMix,
-    seed: u64,
+/// Observatory ring counters as `/status` and `/metrics` show them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ObservatoryCounts {
+    /// Raw windows ingested.
+    windows: u64,
+    /// Occupied ring buckets per level.
+    occupancy: [u64; OBSERVATORY_LEVEL_FACTORS.len()],
+    /// Buckets opened per level (downsample cascades).
+    opened: [u64; OBSERVATORY_LEVEL_FACTORS.len()],
+}
+
+impl ObservatoryCounts {
+    fn of(obs: &Observatory) -> Self {
+        ObservatoryCounts {
+            windows: obs.windows_ingested(),
+            occupancy: std::array::from_fn(|level| obs.occupancy(level) as u64),
+            opened: std::array::from_fn(|level| obs.cascades(level)),
+        }
+    }
+}
+
+/// One shard's plain counters: everything `/status`, `/healthz` and
+/// `/metrics` render, and nothing else (no observatory, no event log,
+/// no anomaly history). The worker updates its shard's snapshot in
+/// place; a request copies the addressed snapshots out from under their
+/// locks and folds them with [`ShardSnapshot::merge`], so one shard is
+/// a merge of one and every view renders through the same code.
+#[derive(Debug, Clone, PartialEq)]
+struct ShardSnapshot {
     slices: u64,
     cycles: u64,
     total_energy_j: f64,
-    /// `(name, count, total_j, mean_j)` per instruction.
-    rows: Vec<(String, u64, f64, f64)>,
-    window_power_uw: CycleHistogram,
-    anomaly_windows: u64,
-    anomaly_events: Vec<AnomalyEvent>,
-    baseline_updates: u64,
+    /// Per-instruction count and total energy (Table 1). A mean is
+    /// total/count at render time, so it stays exact under merging.
+    instructions: InstructionLedger,
     /// Per-master energy attribution, joules.
     per_master_j: Vec<f64>,
     /// Completed bus transactions (from the event tap).
     transactions: u64,
+    window_power_uw: CycleHistogram,
+    anomaly_windows: u64,
+    anomaly_count: u64,
+    /// The flagged window with the highest index.
+    last_anomaly: Option<AnomalyEvent>,
+    baseline_updates: u64,
+    /// Whether the most recently judged detection window was flagged.
+    degraded: bool,
+    /// Highest slice count any merged shard reached.
+    high_water_slice: u64,
+    /// Highest judged-window count any merged shard reached.
+    high_water_window: u64,
     events_enabled: bool,
     events_published: u64,
     /// Events lost to ring wraparound before the worker drained them.
     events_dropped: u64,
+    /// Events retained in the worker's log.
+    events_logged: u64,
+    /// The worker's ring-drain cursor.
+    events_cursor: u64,
+    /// Events published but not yet drained (`published - cursor`).
+    events_lag: u64,
+    /// `None` until the first slice feeds the observatory.
+    observatory: Option<ObservatoryCounts>,
+    /// Flight-recorder bundles written so far.
+    flightrec_bundles: u64,
+    /// The startup record/replay self-calibration, once it completes.
+    replay: Option<ReplayCalibration>,
+    /// Wall-clock per slice simulated (worker-measured).
+    sim_us: CycleHistogram,
+    /// Wall-clock per snapshot update (worker-measured).
+    publish_us: CycleHistogram,
+    /// Wall-clock per `/status` render (HTTP-thread-measured).
+    render_us: CycleHistogram,
+}
+
+impl Default for ShardSnapshot {
+    /// The empty snapshot: the identity of [`ShardSnapshot::merge`].
+    fn default() -> Self {
+        ShardSnapshot {
+            slices: 0,
+            cycles: 0,
+            total_energy_j: 0.0,
+            instructions: InstructionLedger::new(),
+            per_master_j: Vec::new(),
+            transactions: 0,
+            window_power_uw: CycleHistogram::new(&WINDOW_POWER_BOUNDS_UW),
+            anomaly_windows: 0,
+            anomaly_count: 0,
+            last_anomaly: None,
+            baseline_updates: 0,
+            degraded: false,
+            high_water_slice: 0,
+            high_water_window: 0,
+            events_enabled: false,
+            events_published: 0,
+            events_dropped: 0,
+            events_logged: 0,
+            events_cursor: 0,
+            events_lag: 0,
+            observatory: None,
+            flightrec_bundles: 0,
+            replay: None,
+            sim_us: CycleHistogram::new(&STAGE_US_BOUNDS),
+            publish_us: CycleHistogram::new(&STAGE_US_BOUNDS),
+            render_us: CycleHistogram::new(&STAGE_US_BOUNDS),
+        }
+    }
+}
+
+impl ShardSnapshot {
+    /// Folds `other` into `self`. Extensive quantities add (instruction
+    /// rows through [`InstructionLedger::merge`]), histograms
+    /// bucket-merge, high-water marks take the max and flags OR. The last anomaly is the one with the latest
+    /// window; the replay calibration is the one that recorded the most
+    /// cycles.
+    fn merge(&mut self, other: &ShardSnapshot) {
+        self.slices += other.slices;
+        self.cycles += other.cycles;
+        self.total_energy_j += other.total_energy_j;
+        self.instructions.merge(&other.instructions);
+        if self.per_master_j.len() < other.per_master_j.len() {
+            self.per_master_j.resize(other.per_master_j.len(), 0.0);
+        }
+        for (mine, theirs) in self.per_master_j.iter_mut().zip(&other.per_master_j) {
+            *mine += theirs;
+        }
+        self.transactions += other.transactions;
+        self.window_power_uw.merge(&other.window_power_uw);
+        self.anomaly_windows += other.anomaly_windows;
+        self.anomaly_count += other.anomaly_count;
+        if let Some(e) = &other.last_anomaly {
+            if self
+                .last_anomaly
+                .as_ref()
+                .is_none_or(|prev| e.window >= prev.window)
+            {
+                self.last_anomaly = Some(e.clone());
+            }
+        }
+        self.baseline_updates += other.baseline_updates;
+        self.degraded |= other.degraded;
+        self.high_water_slice = self.high_water_slice.max(other.high_water_slice);
+        self.high_water_window = self.high_water_window.max(other.high_water_window);
+        self.events_enabled |= other.events_enabled;
+        self.events_published += other.events_published;
+        self.events_dropped += other.events_dropped;
+        self.events_logged += other.events_logged;
+        self.events_cursor += other.events_cursor;
+        self.events_lag += other.events_lag;
+        if let Some(theirs) = &other.observatory {
+            let mine = self.observatory.get_or_insert_with(Default::default);
+            mine.windows += theirs.windows;
+            for level in 0..OBSERVATORY_LEVEL_FACTORS.len() {
+                mine.occupancy[level] += theirs.occupancy[level];
+                mine.opened[level] += theirs.opened[level];
+            }
+        }
+        self.flightrec_bundles += other.flightrec_bundles;
+        if let Some(theirs) = other.replay {
+            if self
+                .replay
+                .is_none_or(|mine| theirs.trace_cycles > mine.trace_cycles)
+            {
+                self.replay = Some(theirs);
+            }
+        }
+        self.sim_us.merge(&other.sim_us);
+        self.publish_us.merge(&other.publish_us);
+        self.render_us.merge(&other.render_us);
+    }
+}
+
+/// Live state shared between one shard's worker and the HTTP pool: the
+/// snapshot every render reads, plus what `/query`, the flight recorder
+/// and the shutdown flush need beyond it.
+#[derive(Debug, Default)]
+struct LiveState {
+    snap: ShardSnapshot,
+    /// Every anomaly the shard's detector flagged (flushed into
+    /// `serve_final.jsonl`).
+    anomaly_events: Vec<AnomalyEvent>,
     /// Worker-drained event log, trimmed to [`EVENTS_LOG_CAP`]; the
     /// shutdown flush renders it into `events.jsonl`.
     events_log: Vec<Event>,
-    /// The worker's ring-drain cursor; `published - cursor` is the
-    /// drain lag surfaced in `/status` and `/metrics`.
-    events_cursor: u64,
     /// Per-slice snapshot of the session's power observatory (what
     /// `/query` answers from).
     observatory: Option<Observatory>,
     /// Per-slice snapshot of the anomaly detector's statistics (what
     /// flight-recorder bundles embed).
     detector: Option<DetectorState>,
-    /// Flight-recorder bundles written so far.
-    flightrec_bundles: u64,
-    /// Recorded cycles of the startup replay self-calibration (0 until
-    /// it completes).
-    replay_trace_cycles: u64,
-    /// Model variants the calibration replayed.
-    replay_variants: u64,
-    /// Replay throughput the calibration measured, cycles/second.
-    replay_cycles_per_sec: f64,
-    /// Wall-clock per slice simulated (worker-measured).
-    sim_us: CycleHistogram,
-    /// Wall-clock per state republish (worker-measured).
-    publish_us: CycleHistogram,
-    /// Wall-clock per `/status` render (HTTP-thread-measured).
-    render_us: CycleHistogram,
-    registry: MetricsRegistry,
-    /// Latest full JSONL export (registry + anomaly event lines).
-    jsonl: String,
 }
 
-impl LiveState {
-    fn new(shard: usize, mix: ScenarioMix, seed: u64, events_enabled: bool) -> Self {
-        LiveState {
-            started: Instant::now(),
-            shard,
-            mix,
-            seed,
-            slices: 0,
-            cycles: 0,
-            total_energy_j: 0.0,
-            rows: Vec::new(),
-            window_power_uw: CycleHistogram::new(&WINDOW_POWER_BOUNDS_UW),
-            anomaly_windows: 0,
-            anomaly_events: Vec::new(),
-            baseline_updates: 0,
-            per_master_j: Vec::new(),
-            transactions: 0,
-            events_enabled,
-            events_published: 0,
-            events_dropped: 0,
-            events_log: Vec::new(),
-            events_cursor: 0,
-            observatory: None,
-            detector: None,
-            flightrec_bundles: 0,
-            replay_trace_cycles: 0,
-            replay_variants: 0,
-            replay_cycles_per_sec: 0.0,
-            sim_us: CycleHistogram::new(&STAGE_US_BOUNDS),
-            publish_us: CycleHistogram::new(&STAGE_US_BOUNDS),
-            render_us: CycleHistogram::new(&STAGE_US_BOUNDS),
-            registry: MetricsRegistry::new(),
-            jsonl: String::new(),
-        }
+/// The registry `/metrics` renders for one snapshot (one shard, or the
+/// merge of several) through the standard Prometheus exporter.
+fn registry(snap: &ShardSnapshot) -> MetricsRegistry {
+    let mut reg = MetricsRegistry::new();
+    let c = reg.counter("serve_slices_total", "Workload slices completed.", &[]);
+    reg.add(c, snap.slices as f64);
+    let c = reg.counter("ahb_cycles_total", "Bus cycles simulated.", &[]);
+    reg.add(c, snap.cycles as f64);
+    let c = reg.counter("power_total_energy_joules", "Total bus energy booked.", &[]);
+    reg.add(c, snap.total_energy_j);
+    for row in snap.instructions.rows() {
+        let name = row.instruction.name();
+        let labels = [("instruction", name.as_str())];
+        let c = reg.counter(
+            "power_instruction_cycles_total",
+            "Cycles booked per instruction.",
+            &labels,
+        );
+        reg.add(c, row.count as f64);
+        let c = reg.counter(
+            "power_instruction_energy_joules",
+            "Energy booked per instruction.",
+            &labels,
+        );
+        reg.add(c, row.total);
+        let g = reg.gauge(
+            "power_instruction_mean_energy_joules",
+            "Mean energy per instruction occurrence.",
+            &labels,
+        );
+        reg.set(g, row.average);
     }
-
-    fn uptime_s(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
+    let h = reg.histogram(
+        "serve_window_power_microwatts",
+        "Windowed bus power distribution.",
+        &[],
+        &WINDOW_POWER_BOUNDS_UW,
+    );
+    reg.set_histogram(h, &snap.window_power_uw);
+    let c = reg.counter(
+        "energy_anomaly_windows_total",
+        "Detection windows judged.",
+        &[],
+    );
+    reg.add(c, snap.anomaly_windows as f64);
+    let c = reg.counter(
+        "energy_anomaly_events_total",
+        "Windows flagged as energy anomalies.",
+        &[],
+    );
+    reg.add(c, snap.anomaly_count as f64);
+    let c = reg.counter(
+        "energy_anomaly_baseline_updates_total",
+        "Clean windows absorbed into the rolling baseline.",
+        &[],
+    );
+    reg.add(c, snap.baseline_updates as f64);
+    for (i, joules) in snap.per_master_j.iter().enumerate() {
+        let master = format!("{i}");
+        let labels = [("master", master.as_str())];
+        let c = reg.counter(
+            "power_master_energy_joules",
+            "Energy attributed per bus master.",
+            &labels,
+        );
+        reg.add(c, *joules);
     }
-
-    /// Whether the service is in a degraded state: the most recently
-    /// judged detection window was flagged anomalous.
-    fn degraded(&self) -> bool {
-        self.anomaly_events
-            .last()
-            .is_some_and(|e| e.window + 1 == self.anomaly_windows)
-    }
-
-    /// Events published to the ring but not yet drained by the worker.
-    fn events_lag(&self) -> u64 {
-        self.events_published.saturating_sub(self.events_cursor)
-    }
-
-    /// Rebuilds the shared registry from the current fields; `/metrics`
-    /// renders exactly this through the standard Prometheus exporter.
-    fn republish(&mut self) {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("serve_slices_total", "Workload slices completed.", &[]);
-        reg.add(c, self.slices as f64);
-        let c = reg.counter("ahb_cycles_total", "Bus cycles simulated.", &[]);
-        reg.add(c, self.cycles as f64);
-        let c = reg.counter("power_total_energy_joules", "Total bus energy booked.", &[]);
-        reg.add(c, self.total_energy_j);
-        for (name, count, total, mean) in &self.rows {
-            let labels = [("instruction", name.as_str())];
-            let c = reg.counter(
-                "power_instruction_cycles_total",
-                "Cycles booked per instruction.",
-                &labels,
-            );
-            reg.add(c, *count as f64);
-            let c = reg.counter(
-                "power_instruction_energy_joules",
-                "Energy booked per instruction.",
-                &labels,
-            );
-            reg.add(c, *total);
+    let c = reg.counter(
+        "serve_transactions_total",
+        "Bus transactions completed.",
+        &[],
+    );
+    reg.add(c, snap.transactions as f64);
+    let c = reg.counter(
+        "serve_events_published_total",
+        "Structured events published to the ring.",
+        &[],
+    );
+    reg.add(c, snap.events_published as f64);
+    let c = reg.counter(
+        "serve_events_dropped_total",
+        "Structured events lost to ring wraparound.",
+        &[],
+    );
+    reg.add(c, snap.events_dropped as f64);
+    let g = reg.gauge(
+        "serve_events_cursor_lag",
+        "Events published but not yet drained by the worker.",
+        &[],
+    );
+    reg.set(g, snap.events_lag as f64);
+    let g = reg.gauge(
+        "serve_degraded",
+        "1 while any shard's most recently judged detection window was flagged.",
+        &[],
+    );
+    reg.set(g, if snap.degraded { 1.0 } else { 0.0 });
+    if let Some(obs) = &snap.observatory {
+        let c = reg.counter(
+            "serve_observatory_windows_total",
+            "Raw windows ingested by the power observatory.",
+            &[],
+        );
+        reg.add(c, obs.windows as f64);
+        for level in 0..OBSERVATORY_LEVEL_FACTORS.len() {
+            let label = format!("{level}");
+            let labels = [("level", label.as_str())];
             let g = reg.gauge(
-                "power_instruction_mean_energy_joules",
-                "Mean energy per instruction occurrence.",
+                "serve_observatory_ring_occupancy",
+                "Occupied observatory ring buckets per level.",
                 &labels,
             );
-            reg.set(g, *mean);
+            reg.set(g, obs.occupancy[level] as f64);
+            let c = reg.counter(
+                "serve_observatory_cascade_buckets_total",
+                "Buckets opened per observatory level (downsample cascades).",
+                &labels,
+            );
+            reg.add(c, obs.opened[level] as f64);
         }
+    }
+    let c = reg.counter(
+        "serve_flightrec_bundles_total",
+        "Flight-recorder bundles written.",
+        &[],
+    );
+    reg.add(c, snap.flightrec_bundles as f64);
+    for (stage, hist) in [
+        ("sim", &snap.sim_us),
+        ("publish", &snap.publish_us),
+        ("render", &snap.render_us),
+    ] {
+        let labels = [("stage", stage)];
         let h = reg.histogram(
-            "serve_window_power_microwatts",
-            "Windowed bus power distribution.",
-            &[],
-            &WINDOW_POWER_BOUNDS_UW,
+            "serve_stage_duration_microseconds",
+            "Wall-clock per pipeline stage.",
+            &labels,
+            &STAGE_US_BOUNDS,
         );
-        reg.set_histogram(h, &self.window_power_uw);
-        let c = reg.counter(
-            "energy_anomaly_windows_total",
-            "Detection windows judged.",
-            &[],
-        );
-        reg.add(c, self.anomaly_windows as f64);
-        let c = reg.counter(
-            "energy_anomaly_events_total",
-            "Windows flagged as energy anomalies.",
-            &[],
-        );
-        reg.add(c, self.anomaly_events.len() as f64);
-        let c = reg.counter(
-            "energy_anomaly_baseline_updates_total",
-            "Clean windows absorbed into the rolling baseline.",
-            &[],
-        );
-        reg.add(c, self.baseline_updates as f64);
-        for (i, joules) in self.per_master_j.iter().enumerate() {
-            let master = format!("{i}");
-            let labels = [("master", master.as_str())];
-            let c = reg.counter(
-                "power_master_energy_joules",
-                "Energy attributed per bus master.",
-                &labels,
-            );
-            reg.add(c, *joules);
-        }
-        let c = reg.counter(
-            "serve_transactions_total",
-            "Bus transactions completed.",
-            &[],
-        );
-        reg.add(c, self.transactions as f64);
-        let c = reg.counter(
-            "serve_events_published_total",
-            "Structured events published to the ring.",
-            &[],
-        );
-        reg.add(c, self.events_published as f64);
-        let c = reg.counter(
-            "serve_events_dropped_total",
-            "Structured events lost to ring wraparound.",
-            &[],
-        );
-        reg.add(c, self.events_dropped as f64);
-        let g = reg.gauge(
-            "serve_events_cursor_lag",
-            "Events published but not yet drained by the worker.",
-            &[],
-        );
-        reg.set(g, self.events_lag() as f64);
-        let g = reg.gauge(
-            "serve_degraded",
-            "1 while the most recently judged detection window was flagged.",
-            &[],
-        );
-        reg.set(g, if self.degraded() { 1.0 } else { 0.0 });
-        if let Some(obs) = &self.observatory {
-            let c = reg.counter(
-                "serve_observatory_windows_total",
-                "Raw windows ingested by the power observatory.",
-                &[],
-            );
-            reg.add(c, obs.windows_ingested() as f64);
-            for level in 0..OBSERVATORY_LEVEL_FACTORS.len() {
-                let label = format!("{level}");
-                let labels = [("level", label.as_str())];
-                let g = reg.gauge(
-                    "serve_observatory_ring_occupancy",
-                    "Occupied observatory ring buckets per level.",
-                    &labels,
-                );
-                reg.set(g, obs.occupancy(level) as f64);
-                let c = reg.counter(
-                    "serve_observatory_cascade_buckets_total",
-                    "Buckets opened per observatory level (downsample cascades).",
-                    &labels,
-                );
-                reg.add(c, obs.cascades(level) as f64);
-            }
-        }
-        let c = reg.counter(
-            "serve_flightrec_bundles_total",
-            "Flight-recorder bundles written.",
-            &[],
-        );
-        reg.add(c, self.flightrec_bundles as f64);
-        for (stage, hist) in [
-            ("sim", &self.sim_us),
-            ("publish", &self.publish_us),
-            ("render", &self.render_us),
-        ] {
-            let labels = [("stage", stage)];
-            let h = reg.histogram(
-                "serve_stage_duration_microseconds",
-                "Wall-clock per pipeline stage.",
-                &labels,
-                &STAGE_US_BOUNDS,
-            );
-            reg.set_histogram(h, hist);
-        }
-        let g = reg.gauge(
-            "serve_replay_cycles_per_second",
-            "Replay throughput from the startup record/replay self-calibration.",
-            &[],
-        );
-        reg.set(g, self.replay_cycles_per_sec);
-        let g = reg.gauge("serve_uptime_seconds", "Service uptime.", &[]);
-        reg.set(g, self.uptime_s());
-        self.registry = reg;
-
-        let mut jsonl = ahbpower::telemetry::to_jsonl(
-            &self.registry,
-            &ahbpower::telemetry::ExportMeta {
-                scenario: format!("serve_{}", self.mix.name()),
-                cycles: self.cycles,
-                seed: self.seed,
-            },
-        );
-        for e in &self.anomaly_events {
-            jsonl.push_str(&e.to_jsonl_line());
-            jsonl.push('\n');
-        }
-        self.jsonl = jsonl;
+        reg.set_histogram(h, hist);
     }
-
-    /// The `/status` document. Hand-built like every exporter in the
-    /// workspace; `serve` self-checks it with [`validate_json`].
-    fn status_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"status\":\"ok\",\"shard\":{},\"scenario_mix\":\"{}\",\"uptime_s\":{},\"slices\":{},\"cycles\":{},\"seed\":{},\"total_energy_j\":{}",
-            self.shard,
-            self.mix.name(),
-            jnum(self.uptime_s()),
-            self.slices,
-            self.cycles,
-            self.seed,
-            jnum(self.total_energy_j)
-        );
-        let _ = write!(
-            out,
-            ",\"window_power_uw\":{{\"windows\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            self.window_power_uw.count(),
-            jnum(self.window_power_uw.quantile(0.5)),
-            jnum(self.window_power_uw.quantile(0.95)),
-            jnum(self.window_power_uw.quantile(0.99))
-        );
-        let _ = write!(
-            out,
-            ",\"anomalies\":{{\"windows\":{},\"count\":{},\"baseline_updates\":{},\"last\":",
-            self.anomaly_windows,
-            self.anomaly_events.len(),
-            self.baseline_updates
-        );
-        match self.anomaly_events.last() {
-            Some(e) => {
-                let _ = write!(
-                    out,
-                    "{{\"window\":{},\"start_cycle\":{},\"deviation_pct\":{},\"z_score\":{}}}",
-                    e.window,
-                    e.start_cycle,
-                    jnum(e.deviation_pct),
-                    jnum(e.z_score)
-                );
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            "}},\"transactions\":{},\"per_master_j\":[",
-            self.transactions
-        );
-        for (i, j) in self.per_master_j.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&jnum(*j));
-        }
-        let _ = write!(
-            out,
-            "],\"events\":{{\"enabled\":{},\"published\":{},\"dropped\":{},\"logged\":{},\"cursor\":{},\"lag\":{}}}",
-            self.events_enabled,
-            self.events_published,
-            self.events_dropped,
-            self.events_log.len(),
-            self.events_cursor,
-            self.events_lag()
-        );
-        let _ = write!(
-            out,
-            ",\"degraded\":{},\"high_water\":{{\"slice\":{},\"window\":{}}}",
-            self.degraded(),
-            self.slices,
-            self.anomaly_windows
-        );
-        out.push_str(",\"observatory\":");
-        match &self.observatory {
-            Some(obs) => {
-                let _ = write!(out, "{{\"windows\":{},\"levels\":[", obs.windows_ingested());
-                for (level, factor) in OBSERVATORY_LEVEL_FACTORS.iter().enumerate() {
-                    if level > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "{{\"factor\":{factor},\"occupancy\":{},\"opened\":{}}}",
-                        obs.occupancy(level),
-                        obs.cascades(level)
-                    );
-                }
-                out.push_str("]}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            ",\"flightrec\":{{\"bundles\":{}}}",
-            self.flightrec_bundles
-        );
-        let _ = write!(
-            out,
-            ",\"replay\":{{\"trace_cycles\":{},\"variants\":{},\"cycles_per_sec\":{}}}",
-            self.replay_trace_cycles,
-            self.replay_variants,
-            jnum(self.replay_cycles_per_sec)
-        );
-        out.push_str(",\"stages\":{");
-        for (i, (stage, hist)) in [
-            ("sim_us", &self.sim_us),
-            ("publish_us", &self.publish_us),
-            ("render_us", &self.render_us),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{stage}\":{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                hist.count(),
-                jnum(hist.quantile(0.5)),
-                jnum(hist.quantile(0.95)),
-                jnum(hist.quantile(0.99))
-            );
-        }
-        out.push_str("},\"instructions\":[");
-        for (i, (name, count, total, mean)) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{name}\",\"count\":{count},\"total_j\":{},\"mean_j\":{}}}",
-                jnum(*total),
-                jnum(*mean)
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// A JSON-safe float.
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
+    let g = reg.gauge(
+        "serve_replay_cycles_per_second",
+        "Replay throughput from the startup record/replay self-calibration.",
+        &[],
+    );
+    reg.set(g, snap.replay.map_or(0.0, |r| r.cycles_per_sec));
+    reg
 }
 
 /// What the service did, reported by [`ServerHandle::wait`]. Numeric
@@ -692,7 +622,7 @@ pub struct ServeSummary {
 /// event ring (the ring is read lock-free, so `/events` never touches
 /// the state mutex).
 struct ShardRef {
-    state: Arc<Mutex<LiveState>>,
+    state: Mutex<LiveState>,
     events: Arc<EventBus>,
 }
 
@@ -706,7 +636,7 @@ struct ConnQueue {
 /// the control flags, and the admission/shed accounting.
 struct Plane {
     shards: Vec<ShardRef>,
-    stop: Arc<AtomicBool>,
+    stop: AtomicBool,
     queue: ConnQueue,
     /// Connections admitted and not yet answered (queued + in service).
     active: AtomicU64,
@@ -724,14 +654,21 @@ impl Plane {
     fn uptime_s(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
+
+    /// The shard indexes a request addresses: `?shard=K` picks one,
+    /// no `shard` parameter all of them.
+    fn addressed(&self, shard: Option<usize>) -> std::ops::Range<usize> {
+        match shard {
+            Some(k) => k..k + 1,
+            None => 0..self.shards.len(),
+        }
+    }
 }
 
 /// A running service: the bound address plus the shard workers and the
 /// HTTP pool. Drop without [`ServerHandle::wait`] leaks the threads;
 /// always wait.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     plane: Arc<Plane>,
     workers: Vec<thread::JoinHandle<()>>,
     accept: thread::JoinHandle<()>,
@@ -742,29 +679,19 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The bound socket address (resolves port 0).
     pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.plane.addr
     }
 
-    /// Shard 0's structured event ring (what single-shard `/events`
-    /// reads); see [`ServerHandle::shard_events_bus`] for the rest.
+    /// Shard 0's structured event ring (what a 1-shard plane's
+    /// `/events` reads).
     pub fn events_bus(&self) -> &Arc<EventBus> {
         &self.plane.shards[0].events
-    }
-
-    /// A shard's structured event ring, or `None` past the last shard.
-    pub fn shard_events_bus(&self, shard: usize) -> Option<&Arc<EventBus>> {
-        self.plane.shards.get(shard).map(|s| &s.events)
-    }
-
-    /// How many worker shards are running.
-    pub fn shards(&self) -> usize {
-        self.plane.shards.len()
     }
 
     /// Requests shutdown (idempotent; `/quit` does the same).
     pub fn shutdown(&self) {
         // ordering: cold control-plane flag; seqcst for simplicity.
-        self.stop.store(true, Ordering::SeqCst);
+        self.plane.stop.store(true, Ordering::SeqCst);
     }
 
     /// Blocks until every shard worker finishes (slice budget or
@@ -793,8 +720,6 @@ impl ServerHandle {
 
     fn finish(self, until_quit: bool) -> Result<ServeSummary, ServeError> {
         let ServerHandle {
-            addr,
-            stop,
             plane,
             workers,
             accept,
@@ -816,7 +741,7 @@ impl ServerHandle {
                 .join()
                 .map_err(|_| ServeError::Thread("accept thread panicked".to_string()))?;
             // ordering: cold control-plane flag; seqcst for simplicity.
-            stop.store(true, Ordering::SeqCst);
+            plane.stop.store(true, Ordering::SeqCst);
             // Wake idle pool workers so they can observe the stop flag.
             plane.queue.ready.notify_all();
             join_all(pool, "http pool")?;
@@ -827,8 +752,8 @@ impl ServerHandle {
             // may be parked in accept(): set the flag and poke the
             // socket.
             // ordering: cold control-plane flag; seqcst for simplicity.
-            stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+            plane.stop.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect_timeout(&plane.addr, Duration::from_secs(1));
             accept
                 .join()
                 .map_err(|_| ServeError::Thread("accept thread panicked".to_string()))?;
@@ -836,106 +761,77 @@ impl ServerHandle {
             join_all(pool, "http pool")?;
         }
 
+        let poisoned = || ServeError::Thread("state mutex poisoned".to_string());
+        let view = View::new(&plane, None).ok_or_else(poisoned)?;
         let mut flushed = Vec::new();
         if let Some(dir) = &results_dir {
             std::fs::create_dir_all(dir)?;
-            // Merged registry (same composition /metrics serves) plus
-            // every shard's anomaly event lines.
-            let mut jsonl = ahbpower::telemetry::to_jsonl(
-                &merged_registry(&plane),
-                &ExportMeta {
-                    scenario: format!("serve_{}", plane.mix.name()),
-                    cycles: 0,
-                    seed: plane.seed,
-                },
+            let mut flush = |name: String, body: &str| -> io::Result<()> {
+                let path = dir.join(name);
+                write_atomic(&path, body)?;
+                flushed.push(path);
+                Ok(())
+            };
+            let meta = |cycles, seed| ExportMeta {
+                scenario: format!("serve_{}", plane.mix.name()),
+                cycles,
+                seed,
+            };
+            // The registry /metrics serves, then every shard's anomaly
+            // event lines.
+            let mut jsonl = to_jsonl(
+                &metrics_registry(&view),
+                &meta(view.total.cycles, plane.seed),
             );
-            for shard in &plane.shards {
-                let s = shard
-                    .state
-                    .lock()
-                    .map_err(|_| ServeError::Thread("state mutex poisoned".to_string()))?;
+            for (i, shard) in plane.shards.iter().enumerate() {
+                let s = shard.state.lock().map_err(|_| poisoned())?;
                 for e in &s.anomaly_events {
                     jsonl.push_str(&e.to_jsonl_line());
                     jsonl.push('\n');
                 }
-            }
-            let jsonl_path = dir.join("serve_final.jsonl");
-            write_atomic(&jsonl_path, &jsonl)?;
-            flushed.push(jsonl_path);
-            let status = merged_status_json(&plane);
-            validate_json(&status)
-                .map_err(|e| ServeError::SelfCheck(format!("final status JSON invalid: {e}")))?;
-            let status_path = dir.join("serve_status.json");
-            write_atomic(&status_path, &status)?;
-            flushed.push(status_path);
-            for (i, shard) in plane.shards.iter().enumerate() {
-                let state = shard
-                    .state
-                    .lock()
-                    .map_err(|_| ServeError::Thread("state mutex poisoned".to_string()))?;
-                if state.events_enabled {
-                    let events = events_to_jsonl(
-                        &state.events_log,
-                        &ExportMeta {
-                            scenario: format!("serve_{}", state.mix.name()),
-                            cycles: state.cycles,
-                            seed: state.seed,
-                        },
-                    );
-                    let events_path = if i == 0 {
-                        dir.join("events.jsonl")
-                    } else {
-                        dir.join(format!("events-shard{i}.jsonl"))
-                    };
-                    write_atomic(&events_path, &events)?;
-                    flushed.push(events_path);
+                let suffix = if i == 0 {
+                    String::new()
+                } else {
+                    format!("-shard{i}")
+                };
+                if s.snap.events_enabled {
+                    let seed = shard_seed(plane.seed, i);
+                    let events = events_to_jsonl(&s.events_log, &meta(s.snap.cycles, seed));
+                    flush(format!("events{suffix}.jsonl"), &events)?;
                 }
-                if let Some(obs) = &state.observatory {
-                    let obs_path = if i == 0 {
-                        dir.join("observatory.jsonl")
-                    } else {
-                        dir.join(format!("observatory-shard{i}.jsonl"))
-                    };
-                    write_atomic(&obs_path, &obs.to_jsonl())?;
-                    flushed.push(obs_path);
+                if let Some(obs) = &s.observatory {
+                    flush(format!("observatory{suffix}.jsonl"), &obs.to_jsonl())?;
                     // Shutdown post-mortem: the same bundle shape an
                     // anomaly dump produces, anchored at the shard's
                     // last judged window, so every run ends with an
                     // inspectable record per shard.
-                    let mut rec = FlightRecorder::for_shard(dir, i as u64);
-                    let _ = rec.record(
+                    let _ = FlightRecorder::for_shard(dir, i as u64).record(
                         "quit",
-                        state.anomaly_windows,
-                        state.slices,
+                        s.snap.anomaly_windows,
+                        s.snap.slices,
                         None,
-                        state.detector.as_ref(),
-                        state.observatory.as_ref(),
-                        &state.events_log,
+                        s.detector.as_ref(),
+                        s.observatory.as_ref(),
+                        &s.events_log,
                     );
                 }
             }
+            flush("serve_final.jsonl".to_string(), &jsonl)?;
+            let status = status_json(&view);
+            validate_json(&status)
+                .map_err(|e| ServeError::SelfCheck(format!("final status JSON invalid: {e}")))?;
+            flush("serve_status.json".to_string(), &status)?;
         }
-        let mut summary = ServeSummary {
-            slices: 0,
-            cycles: 0,
-            total_energy_j: 0.0,
-            anomalies: 0,
+        Ok(ServeSummary {
+            slices: view.total.slices,
+            cycles: view.total.cycles,
+            total_energy_j: view.total.total_energy_j,
+            anomalies: view.total.anomaly_count,
             shards: plane.shards.len(),
             // ordering: cold post-shutdown read of the shed tally; seqcst for simplicity.
             shed: plane.shed.load(Ordering::SeqCst),
             flushed,
-        };
-        for shard in &plane.shards {
-            let s = shard
-                .state
-                .lock()
-                .map_err(|_| ServeError::Thread("state mutex poisoned".to_string()))?;
-            summary.slices += s.slices;
-            summary.cycles += s.cycles;
-            summary.total_energy_j += s.total_energy_j;
-            summary.anomalies += s.anomaly_events.len() as u64;
-        }
-        Ok(summary)
+        })
     }
 }
 
@@ -970,24 +866,27 @@ fn build_slice_bus(label: &str, slice_cycles: u64, seed: u64) -> ahbpower_ahb::A
 pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
     let listener = TcpListener::bind(cfg.addr.as_str())?;
     let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
     let n_shards = cfg.shards.max(1);
     let http_threads = cfg.http_threads.max(1);
     let max_connections = cfg.max_connections.max(1);
 
-    let mut shards = Vec::with_capacity(n_shards);
-    for shard in 0..n_shards {
-        let shard_seed = cfg.seed + shard as u64 * SHARD_SEED_STRIDE;
-        let events = EventBus::shared(cfg.events_capacity);
-        events.set_enabled(cfg.events);
-        let state = Arc::new(Mutex::new(LiveState::new(
-            shard, cfg.mix, shard_seed, cfg.events,
-        )));
-        shards.push(ShardRef { state, events });
-    }
+    let shards = (0..n_shards)
+        .map(|_| {
+            let events = EventBus::shared(cfg.events_capacity);
+            events.set_enabled(cfg.events);
+            let state = Mutex::new(LiveState {
+                snap: ShardSnapshot {
+                    events_enabled: cfg.events,
+                    ..ShardSnapshot::default()
+                },
+                ..LiveState::default()
+            });
+            ShardRef { state, events }
+        })
+        .collect();
     let plane = Arc::new(Plane {
         shards,
-        stop: Arc::clone(&stop),
+        stop: AtomicBool::new(false),
         queue: ConnQueue {
             pending: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
@@ -1004,11 +903,9 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
 
     let workers = (0..n_shards)
         .map(|shard| {
-            let stop = Arc::clone(&stop);
-            let state = Arc::clone(&plane.shards[shard].state);
-            let events = Arc::clone(&plane.shards[shard].events);
+            let plane = Arc::clone(&plane);
             let cfg = cfg.clone();
-            thread::spawn(move || run_worker(&cfg, shard, &events, &stop, &state))
+            thread::spawn(move || run_worker(&cfg, shard, &plane))
         })
         .collect();
     let pool = (0..http_threads)
@@ -1022,8 +919,6 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
         thread::spawn(move || run_accept(&listener, &plane))
     };
     Ok(ServerHandle {
-        addr,
-        stop,
         plane,
         workers,
         accept,
@@ -1032,10 +927,8 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
     })
 }
 
-/// The simulation loop: one session for the whole service lifetime
-/// (the anomaly detector's baseline survives across slices), a fresh
-/// bus per slice.
 /// Outcome of the worker's startup record/replay self-calibration.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct ReplayCalibration {
     trace_cycles: u64,
     variants: u64,
@@ -1098,14 +991,15 @@ fn replay_calibration(seed: u64, events: &Arc<EventBus>) -> ReplayCalibration {
 
 /// Drains the event ring into the retained log (the ring is quiescent
 /// between slices — the worker is its only writer), updating the drop
-/// counter, cursor and published count. Returns the `AnomalyFlagged`
-/// events drained, which trigger flight-recorder bundles.
+/// counter, cursor, lag and published count. Returns the
+/// `AnomalyFlagged` events drained, which trigger flight-recorder
+/// bundles.
 fn drain_events(events: &EventBus, cursor: &mut u64, s: &mut LiveState) -> Vec<Event> {
     let mut flagged = Vec::new();
     loop {
         let batch = events.read_since(*cursor, 4096);
         *cursor = batch.next;
-        s.events_dropped += batch.dropped;
+        s.snap.events_dropped += batch.dropped;
         if batch.events.is_empty() {
             break;
         }
@@ -1122,21 +1016,21 @@ fn drain_events(events: &EventBus, cursor: &mut u64, s: &mut LiveState) -> Vec<E
         let overflow = s.events_log.len() - EVENTS_LOG_CAP;
         s.events_log.drain(..overflow);
     }
-    s.events_cursor = *cursor;
-    s.events_published = events.published();
+    s.snap.events_logged = s.events_log.len() as u64;
+    s.snap.events_cursor = *cursor;
+    s.snap.events_published = events.published();
+    s.snap.events_lag = s.snap.events_published.saturating_sub(*cursor);
     flagged
 }
 
-fn run_worker(
-    cfg: &ServeConfig,
-    shard: usize,
-    events: &Arc<EventBus>,
-    stop: &AtomicBool,
-    state: &Mutex<LiveState>,
-) {
+/// The simulation loop: one session for the whole service lifetime
+/// (the anomaly detector's baseline survives across slices), a fresh
+/// bus per slice, and the shard's snapshot updated in place after each.
+fn run_worker(cfg: &ServeConfig, shard: usize, plane: &Plane) {
+    let ShardRef { state, events } = &plane.shards[shard];
     // Per-shard seed rotation: shards occupy disjoint seed ranges so no
     // two shards ever simulate the same workload.
-    let shard_seed = cfg.seed + shard as u64 * SHARD_SEED_STRIDE;
+    let shard_seed = shard_seed(cfg.seed, shard);
     // Size the model for the widest scenario in the mix; narrower buses
     // use a subset of the masters.
     let (n_masters, n_slaves) = match cfg.mix {
@@ -1176,16 +1070,13 @@ fn run_worker(
     if shard == 0 {
         let calib = replay_calibration(cfg.seed, events);
         if let Ok(mut s) = state.lock() {
-            s.replay_trace_cycles = calib.trace_cycles;
-            s.replay_variants = calib.variants;
-            s.replay_cycles_per_sec = calib.cycles_per_sec;
-            s.republish();
+            s.snap.replay = Some(calib);
         }
     }
 
     let mut slice = 0u64;
     // ordering: cold shutdown poll at slice granularity; seqcst for simplicity.
-    while !stop.load(Ordering::SeqCst) {
+    while !plane.stop.load(Ordering::SeqCst) {
         if let Some(max) = cfg.max_slices {
             if slice >= max {
                 break;
@@ -1219,71 +1110,74 @@ fn run_worker(
             session.end_slice();
         }));
         if sim.is_err() {
-            if let Ok(mut s) = state.lock() {
-                drain_events(events, &mut events_cursor, &mut s);
-                let window = s.anomaly_windows;
+            if let Ok(mut guard) = state.lock() {
+                let s = &mut *guard;
+                drain_events(events, &mut events_cursor, s);
                 if let Some(rec) = &mut flightrec {
                     let _ = rec.record(
                         "panic",
-                        window,
+                        s.snap.anomaly_windows,
                         slice,
                         None,
                         s.detector.as_ref(),
                         s.observatory.as_ref(),
                         &s.events_log,
                     );
-                    s.flightrec_bundles = rec.bundles() as u64;
+                    s.snap.flightrec_bundles = rec.bundles() as u64;
                 }
-                s.republish();
             }
             break;
         }
         let sim_us = sim_started.elapsed().as_micros() as u64;
         slice += 1;
 
-        let rows: Vec<(String, u64, f64, f64)> = session
-            .ledger()
-            .rows()
-            .into_iter()
-            .map(|r| (r.instruction.name(), r.count, r.total, r.average))
-            .collect();
-        let total_energy = session.total_energy();
-        let per_master_j = session.per_master_energy().to_vec();
-        let points = session.trace_points().to_vec();
-        let transactions = session
-            .telemetry()
-            .and_then(|t| t.events())
-            .map_or(0, |t| t.transactions());
-        let (anomaly_windows, anomaly_events, baseline_updates) =
-            match session.telemetry_mut().and_then(|t| t.anomaly()) {
-                Some(d) => (d.windows(), d.events().to_vec(), d.baseline_updates()),
-                None => (0, Vec::new(), 0),
-            };
+        // The observatory copy is the one large one: take it before the
+        // lock, so HTTP readers never wait on it.
         let observatory = session.telemetry().and_then(|t| t.observatory()).cloned();
-        let detector = session
-            .telemetry()
-            .and_then(|t| t.anomaly())
-            .map(|d| d.state());
-
-        let Ok(mut s) = state.lock() else {
+        let Ok(mut guard) = state.lock() else {
             break;
         };
-        s.slices = slice;
-        s.cycles = slice * cfg.slice_cycles;
-        s.total_energy_j = total_energy;
-        s.rows = rows;
-        s.per_master_j = per_master_j;
-        s.transactions = transactions;
+        let s = &mut *guard;
+        let publish_started = Instant::now();
+        let snap = &mut s.snap;
+        snap.slices = slice;
+        snap.high_water_slice = slice;
+        snap.cycles = slice * cfg.slice_cycles;
+        snap.total_energy_j = session.total_energy();
+        snap.instructions = session.ledger().clone();
+        snap.per_master_j = session.per_master_energy().to_vec();
+        let points = session.trace_points();
         for p in &points[consumed_points..] {
-            s.window_power_uw.observe((p.total_w * 1e6).round() as u64);
+            snap.window_power_uw
+                .observe((p.total_w * 1e6).round() as u64);
         }
         consumed_points = points.len();
-        s.anomaly_windows = anomaly_windows;
-        s.anomaly_events = anomaly_events;
-        s.baseline_updates = baseline_updates;
+        let telemetry = session.telemetry();
+        snap.transactions = telemetry
+            .and_then(|t| t.events())
+            .map_or(0, |e| e.transactions());
+        if let Some(d) = telemetry.and_then(|t| t.anomaly()) {
+            snap.anomaly_windows = d.windows();
+            snap.high_water_window = d.windows();
+            snap.anomaly_count = d.events().len() as u64;
+            snap.last_anomaly = d.events().last().cloned();
+            // Degraded: the most recently judged window was flagged.
+            snap.degraded = snap
+                .last_anomaly
+                .as_ref()
+                .is_some_and(|e| e.window + 1 == d.windows());
+            snap.baseline_updates = d.baseline_updates();
+            s.anomaly_events = d.events().to_vec();
+            s.detector = Some(d.state());
+        }
+        snap.observatory = observatory.as_ref().map(ObservatoryCounts::of);
+        snap.sim_us.observe(sim_us);
+        if let Some(us) = last_publish_us {
+            snap.publish_us.observe(us);
+        }
+        last_publish_us = Some(publish_started.elapsed().as_micros() as u64);
         s.observatory = observatory;
-        s.detector = detector;
-        let flagged = drain_events(events, &mut events_cursor, &mut s);
+        let flagged = drain_events(events, &mut events_cursor, s);
         if let Some(rec) = &mut flightrec {
             for fe in &flagged {
                 let anomaly = s.anomaly_events.iter().find(|a| a.window == fe.window);
@@ -1297,15 +1191,8 @@ fn run_worker(
                     &s.events_log,
                 );
             }
-            s.flightrec_bundles = rec.bundles() as u64;
+            s.snap.flightrec_bundles = rec.bundles() as u64;
         }
-        s.sim_us.observe(sim_us);
-        if let Some(us) = last_publish_us {
-            s.publish_us.observe(us);
-        }
-        let publish_started = Instant::now();
-        s.republish();
-        last_publish_us = Some(publish_started.elapsed().as_micros() as u64);
     }
     // Draining the slice budget ends simulation but NOT serving: the
     // HTTP thread keeps answering until /quit or ServerHandle::wait.
@@ -1487,6 +1374,14 @@ fn bad_request(msg: String) -> (u16, &'static str, String) {
     (400, "text/plain; charset=utf-8", format!("{msg}\n"))
 }
 
+fn poisoned() -> (u16, &'static str, String) {
+    (
+        500,
+        "text/plain; charset=utf-8",
+        "state poisoned\n".to_string(),
+    )
+}
+
 /// The `GET /query?series=S[&from=A][&to=B][&step=N][&shard=K]`
 /// endpoint: a range query over retained observatory history.
 /// `from`/`to` are raw window indexes (inclusive, defaulting to
@@ -1517,19 +1412,11 @@ fn query_response(query: &str, plane: &Plane) -> (u16, &'static str, String) {
             ),
         )
     };
-    let selected: Vec<&ShardRef> = match shard {
-        Some(i) => vec![&plane.shards[i]],
-        None => plane.shards.iter().collect(),
-    };
     let mut results: Vec<QueryResult> = Vec::new();
     let mut have_observatory = false;
-    for sh in selected {
-        let Ok(s) = sh.state.lock() else {
-            return (
-                500,
-                "text/plain; charset=utf-8",
-                "state poisoned\n".to_string(),
-            );
+    for k in plane.addressed(shard) {
+        let Ok(s) = plane.shards[k].state.lock() else {
+            return poisoned();
         };
         if let Some(obs) = &s.observatory {
             have_observatory = true;
@@ -1592,58 +1479,31 @@ pub fn merged_read_since(buses: &[Arc<EventBus>], since: &[u64], max: usize) -> 
         .collect()
 }
 
-/// The single-shard `/events` body — numeric cursors, exactly the
-/// pre-sharding wire format (what the dashboard and curl examples use
-/// against a 1-shard serve or with `shard=`).
-fn events_json(query: &str, events: &EventBus, stop: &AtomicBool) -> String {
-    let since = query_u64(query, "since").unwrap_or(0);
-    let max = query_u64(query, "max").unwrap_or(1_000).min(4_096) as usize;
-    let timeout_ms = query_u64(query, "timeout_ms")
-        .unwrap_or(0)
-        .min(EVENTS_POLL_CAP_MS);
-    let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-    let mut batch = events.read_since(since, max);
-    // ordering: cold shutdown poll in the long-poll loop; seqcst for simplicity.
-    while batch.events.is_empty() && Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
-        thread::sleep(Duration::from_millis(25));
-        batch = events.read_since(since, max);
-    }
-    let mut out = String::with_capacity(64 + 96 * batch.events.len());
-    let _ = write!(
-        out,
-        "{{\"since\":{since},\"next\":{},\"dropped\":{},\"published\":{},\"enabled\":{},\"events\":[",
-        batch.next,
-        batch.dropped,
-        batch.published,
-        events.is_enabled()
-    );
-    for (i, e) in batch.events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&e.to_json_obj());
-    }
-    out.push_str("]}");
-    out
-}
-
-/// The merged `/events` body: string cursors over the aggregated
-/// per-shard sequence space, per-shard `dropped`/`published` arrays,
-/// and every event tagged with its shard.
-fn merged_events_json(query: &str, plane: &Plane) -> (u16, &'static str, String) {
-    let n = plane.shards.len();
-    let since = match query_str(query, "since") {
-        None => vec![0u64; n],
-        Some(v) => match parse_multi_cursor(v, n) {
-            Some(c) => c,
-            None => return bad_request(format!("bad since '{v}': want up to {n} dot-joined u64s")),
-        },
+/// The `/events` body over the addressed rings. One ring (a 1-shard
+/// plane, or `?shard=K`) keeps the numeric cursor and untagged events;
+/// several rings page the aggregated cursor space — dot-joined
+/// per-shard cursors, per-shard `dropped`/`published` arrays and
+/// shard-tagged events. Either way `since` parses through
+/// [`parse_multi_cursor`], so a malformed cursor is a clean 400.
+fn events_response(query: &str, plane: &Plane) -> (u16, &'static str, String) {
+    let buses: Vec<Arc<EventBus>> = match parse_shard(query, plane.shards.len()) {
+        Ok(shard) => plane
+            .addressed(shard)
+            .map(|k| Arc::clone(&plane.shards[k].events))
+            .collect(),
+        Err(msg) => return bad_request(msg),
+    };
+    let n = buses.len();
+    let raw_since = query_str(query, "since").unwrap_or("");
+    let Some(since) = parse_multi_cursor(raw_since, n) else {
+        return bad_request(format!(
+            "bad since '{raw_since}': want up to {n} dot-joined u64s"
+        ));
     };
     let max = query_u64(query, "max").unwrap_or(1_000).min(4_096) as usize;
     let timeout_ms = query_u64(query, "timeout_ms")
         .unwrap_or(0)
         .min(EVENTS_POLL_CAP_MS);
-    let buses: Vec<Arc<EventBus>> = plane.shards.iter().map(|s| Arc::clone(&s.events)).collect();
     let deadline = Instant::now() + Duration::from_millis(timeout_ms);
     let mut batches = merged_read_since(&buses, &since, max);
     while batches.iter().all(|b| b.events.is_empty())
@@ -1654,473 +1514,298 @@ fn merged_events_json(query: &str, plane: &Plane) -> (u16, &'static str, String)
         thread::sleep(Duration::from_millis(25));
         batches = merged_read_since(&buses, &since, max);
     }
-    let total: usize = batches.iter().map(|b| b.events.len()).sum();
+    let multi = n > 1;
+    let (quote, open, close, shards) = if multi {
+        ("\"", "[", "]", format!(",\"shards\":{n}"))
+    } else {
+        ("", "", "", String::new())
+    };
     let next: Vec<u64> = batches.iter().map(|b| b.next).collect();
+    let dropped = list(&batches, |b| b.dropped.to_string());
+    let published = list(&batches, |b| b.published.to_string());
+    let enabled = buses.iter().any(|b| b.is_enabled());
+    let total: usize = batches.iter().map(|b| b.events.len()).sum();
     let mut out = String::with_capacity(128 + 104 * total);
     let _ = write!(
         out,
-        "{{\"since\":\"{}\",\"next\":\"{}\",\"shards\":{n},\"dropped\":[",
+        "{{\"since\":{quote}{}{quote},\"next\":{quote}{}{quote}{shards}\
+         ,\"dropped\":{open}{dropped}{close},\"published\":{open}{published}{close}\
+         ,\"enabled\":{enabled},\"events\":[",
         format_multi_cursor(&since),
         format_multi_cursor(&next)
     );
-    for (i, b) in batches.iter().enumerate() {
+    let tagged = batches
+        .iter()
+        .enumerate()
+        .flat_map(|(shard, b)| b.events.iter().map(move |e| (shard, e)));
+    for (i, (shard, e)) in tagged.enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{}", b.dropped);
-    }
-    out.push_str("],\"published\":[");
-    for (i, b) in batches.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}", b.published);
-    }
-    let enabled = plane.shards.iter().any(|s| s.events.is_enabled());
-    let _ = write!(out, "],\"enabled\":{enabled},\"events\":[");
-    let mut first = true;
-    for (shard, b) in batches.iter().enumerate() {
-        for e in &b.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
+        let obj = e.to_json_obj();
+        if multi {
             // Splice the shard tag into the event object.
-            let obj = e.to_json_obj();
             let _ = write!(out, "{{\"shard\":{shard},{}", &obj[1..]);
+        } else {
+            out.push_str(&obj);
         }
     }
     out.push_str("]}");
     (200, "application/json", out)
 }
 
-fn events_response(query: &str, plane: &Plane) -> (u16, &'static str, String) {
-    match parse_shard(query, plane.shards.len()) {
-        Err(msg) => bad_request(msg),
-        Ok(Some(i)) => (
-            200,
-            "application/json",
-            events_json(query, &plane.shards[i].events, &plane.stop),
-        ),
-        // One shard keeps the numeric pre-sharding wire format.
-        Ok(None) if plane.shards.len() == 1 => (
-            200,
-            "application/json",
-            events_json(query, &plane.shards[0].events, &plane.stop),
-        ),
-        Ok(None) => merged_events_json(query, plane),
-    }
+/// `items` rendered through `f`, comma-joined.
+fn list<T>(items: impl IntoIterator<Item = T>, f: impl FnMut(T) -> String) -> String {
+    items.into_iter().map(f).collect::<Vec<_>>().join(",")
 }
 
-/// Builds the merged `/metrics` registry: per-shard registries sum
-/// (counters add, histograms bucket-merge), non-extensive gauges are
-/// overwritten with their plane-level composition, the serving plane's
-/// own admission metrics are added, and — for a multi-shard plane —
-/// every shard's registry rides along under a `shard=` label.
-fn merged_registry(plane: &Plane) -> MetricsRegistry {
-    let snaps: Vec<(MetricsRegistry, bool)> = plane
-        .shards
-        .iter()
-        .filter_map(|sh| {
-            sh.state
-                .lock()
-                .ok()
-                .map(|s| (s.registry.clone(), s.degraded()))
+/// A histogram's `"p50":…,"p95":…,"p99":…` fields.
+fn quantiles(h: &CycleHistogram) -> String {
+    format!(
+        "\"p50\":{},\"p95\":{},\"p99\":{}",
+        json_num(h.quantile(0.5)),
+        json_num(h.quantile(0.95)),
+        json_num(h.quantile(0.99))
+    )
+}
+
+/// What one `/status`, `/healthz` or `/metrics` render sees: the
+/// addressed shards' snapshots, each copied while its lock was held for
+/// the copy alone, and their merge.
+struct View<'p> {
+    plane: &'p Plane,
+    /// `Some(k)` for a `?shard=k` drill-down.
+    shard: Option<usize>,
+    /// `(index, snapshot)` of every addressed shard.
+    shards: Vec<(usize, ShardSnapshot)>,
+    /// The merge of `shards`.
+    total: ShardSnapshot,
+}
+
+impl<'p> View<'p> {
+    /// Copies the addressed shards' snapshots and merges them; `None`
+    /// if a shard's state is poisoned.
+    fn new(plane: &'p Plane, shard: Option<usize>) -> Option<View<'p>> {
+        let shards = plane
+            .addressed(shard)
+            .map(|k| Some((k, plane.shards[k].state.lock().ok()?.snap.clone())))
+            .collect::<Option<Vec<_>>>()?;
+        let mut total = ShardSnapshot::default();
+        for (_, snap) in &shards {
+            total.merge(snap);
+        }
+        Some(View {
+            plane,
+            shard,
+            shards,
+            total,
         })
-        .collect();
-    let mut agg = MetricsRegistry::new();
-    for (reg, _) in &snaps {
-        agg.merge_sum(reg);
     }
-    // Summing uptime/degraded/replay-throughput across shards is
-    // meaningless; recompose them at plane level.
-    let g = agg.gauge("serve_uptime_seconds", "Service uptime.", &[]);
-    agg.set(g, plane.uptime_s());
-    let degraded = snaps.iter().any(|(_, d)| *d);
-    let g = agg.gauge(
-        "serve_degraded",
-        "1 while any shard's most recently judged detection window was flagged.",
-        &[],
-    );
-    agg.set(g, if degraded { 1.0 } else { 0.0 });
-    let replay = snaps
-        .iter()
-        .filter_map(|(r, _)| r.gauge_value("serve_replay_cycles_per_second", &[]))
-        .fold(0.0f64, f64::max);
-    let g = agg.gauge(
-        "serve_replay_cycles_per_second",
-        "Replay throughput from the startup record/replay self-calibration.",
-        &[],
-    );
-    agg.set(g, replay);
-    let g = agg.gauge("serve_shards", "Worker shards running.", &[]);
-    agg.set(g, plane.shards.len() as f64);
-    let g = agg.gauge("serve_http_threads", "HTTP pool size.", &[]);
-    agg.set(g, plane.http_threads as f64);
-    let g = agg.gauge(
-        "serve_http_max_connections",
-        "Admission limit: connections admitted beyond this are shed.",
-        &[],
-    );
-    agg.set(g, plane.max_connections as f64);
-    let g = agg.gauge(
-        "serve_http_active_connections",
-        "Connections admitted and not yet answered.",
-        &[],
-    );
-    // ordering: monitoring reads of hot admission counters; seqcst for simplicity.
-    agg.set(g, plane.active.load(Ordering::SeqCst) as f64);
-    let c = agg.counter(
-        "serve_http_shed_total",
-        "Connections shed with 503 by the admission limit.",
-        &[],
-    );
-    // ordering: monitoring read of the shed tally; seqcst for simplicity.
-    agg.add(c, plane.shed.load(Ordering::SeqCst) as f64);
-    if snaps.len() > 1 {
-        for (i, (reg, _)) in snaps.iter().enumerate() {
-            agg.merge_labeled(reg, "shard", &i.to_string());
-        }
-    }
-    agg
-}
 
-fn metrics_response(query: &str, plane: &Plane) -> (u16, &'static str, String) {
-    const PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
-    match parse_shard(query, plane.shards.len()) {
-        Err(msg) => bad_request(msg),
-        Ok(Some(i)) => match plane.shards[i].state.lock() {
-            Ok(mut s) => {
-                let uptime = s.uptime_s();
-                let g = s
-                    .registry
-                    .gauge("serve_uptime_seconds", "Service uptime.", &[]);
-                s.registry.set(g, uptime);
-                (200, PROM, to_prometheus(&s.registry))
-            }
-            Err(_) => (
-                500,
-                "text/plain; charset=utf-8",
-                "state poisoned\n".to_string(),
-            ),
-        },
-        Ok(None) => (200, PROM, to_prometheus(&merged_registry(plane))),
+    /// `{"status":"ok"` plus, for a drill-down, the shard index.
+    fn head(&self) -> String {
+        match self.shard {
+            Some(k) => format!("{{\"status\":\"ok\",\"shard\":{k}"),
+            None => "{\"status\":\"ok\"".to_string(),
+        }
     }
 }
 
-/// The merged `/status` document: the same shape a single shard
-/// publishes (every pre-sharding key keeps its meaning, now
-/// aggregated) plus `shards`, an `http` admission block and a
-/// `shard_detail` array for per-shard drill-down without extra
-/// requests.
-fn merged_status_json(plane: &Plane) -> String {
-    let n = plane.shards.len();
-    let mut slices = 0u64;
-    let mut cycles = 0u64;
-    let mut total_energy = 0.0f64;
-    let mut transactions = 0u64;
-    let mut window_power = CycleHistogram::new(&WINDOW_POWER_BOUNDS_UW);
-    let mut anomaly_windows = 0u64;
-    let mut anomaly_count = 0u64;
-    let mut baseline_updates = 0u64;
-    let mut last_anomaly: Option<AnomalyEvent> = None;
-    let mut per_master: Vec<f64> = Vec::new();
-    let mut ev_enabled = false;
-    let mut ev_published = 0u64;
-    let mut ev_dropped = 0u64;
-    let mut ev_logged = 0u64;
-    let mut ev_cursor = 0u64;
-    let mut ev_lag = 0u64;
-    let mut degraded = false;
-    let mut hw_slice = 0u64;
-    let mut hw_window = 0u64;
-    let mut obs_any = false;
-    let mut obs_windows = 0u64;
-    let mut obs_occupancy = [0u64; OBSERVATORY_LEVEL_FACTORS.len()];
-    let mut obs_opened = [0u64; OBSERVATORY_LEVEL_FACTORS.len()];
-    let mut flightrec = 0u64;
-    let mut replay = (0u64, 0u64, 0.0f64);
-    let mut sim_us = CycleHistogram::new(&STAGE_US_BOUNDS);
-    let mut publish_us = CycleHistogram::new(&STAGE_US_BOUNDS);
-    let mut render_us = CycleHistogram::new(&STAGE_US_BOUNDS);
-    let mut rows: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-    let mut detail = String::new();
-
-    for (i, sh) in plane.shards.iter().enumerate() {
-        let Ok(s) = sh.state.lock() else { continue };
-        slices += s.slices;
-        cycles += s.cycles;
-        total_energy += s.total_energy_j;
-        transactions += s.transactions;
-        window_power.merge(&s.window_power_uw);
-        anomaly_windows += s.anomaly_windows;
-        anomaly_count += s.anomaly_events.len() as u64;
-        baseline_updates += s.baseline_updates;
-        if let Some(e) = s.anomaly_events.last() {
-            if last_anomaly
-                .as_ref()
-                .is_none_or(|prev| e.window >= prev.window)
-            {
-                last_anomaly = Some(e.clone());
-            }
-        }
-        if per_master.len() < s.per_master_j.len() {
-            per_master.resize(s.per_master_j.len(), 0.0);
-        }
-        for (m, j) in s.per_master_j.iter().enumerate() {
-            per_master[m] += j;
-        }
-        ev_enabled |= s.events_enabled;
-        ev_published += s.events_published;
-        ev_dropped += s.events_dropped;
-        ev_logged += s.events_log.len() as u64;
-        ev_cursor += s.events_cursor;
-        ev_lag += s.events_lag();
-        degraded |= s.degraded();
-        hw_slice = hw_slice.max(s.slices);
-        hw_window = hw_window.max(s.anomaly_windows);
-        if let Some(obs) = &s.observatory {
-            obs_any = true;
-            obs_windows += obs.windows_ingested();
-            for level in 0..OBSERVATORY_LEVEL_FACTORS.len() {
-                obs_occupancy[level] += obs.occupancy(level) as u64;
-                obs_opened[level] += obs.cascades(level);
-            }
-        }
-        flightrec += s.flightrec_bundles;
-        if s.replay_trace_cycles > replay.0 {
-            replay = (
-                s.replay_trace_cycles,
-                s.replay_variants,
-                s.replay_cycles_per_sec,
-            );
-        }
-        sim_us.merge(&s.sim_us);
-        publish_us.merge(&s.publish_us);
-        render_us.merge(&s.render_us);
-        for (name, count, total, _) in &s.rows {
-            let e = rows.entry(name.clone()).or_insert((0, 0.0));
-            e.0 += count;
-            e.1 += total;
-        }
-        if i > 0 {
-            detail.push(',');
-        }
-        let _ = write!(
-            detail,
-            "{{\"shard\":{i},\"scenario_mix\":\"{}\",\"seed\":{},\"slices\":{},\"cycles\":{},\"total_energy_j\":{},\"transactions\":{},\"anomalies\":{},\"degraded\":{},\"events\":{{\"published\":{},\"dropped\":{},\"lag\":{}}},\"observatory_windows\":{},\"flightrec_bundles\":{}}}",
-            s.mix.name(),
-            s.seed,
+/// The `/status` document, one shape for the merged plane, a
+/// `?shard=K` drill-down (which adds `"shard":K`) and the shutdown
+/// flush. Hand-built like every exporter in the workspace; the flushed
+/// copy is self-checked with [`validate_json`].
+fn status_json(view: &View) -> String {
+    let (plane, t) = (view.plane, &view.total);
+    let last = t.last_anomaly.as_ref().map_or("null".to_string(), |e| {
+        format!(
+            "{{\"window\":{},\"start_cycle\":{},\"deviation_pct\":{},\"z_score\":{}}}",
+            e.window,
+            e.start_cycle,
+            json_num(e.deviation_pct),
+            json_num(e.z_score)
+        )
+    });
+    let per_master = list(&t.per_master_j, |j| json_num(*j));
+    let observatory = t.observatory.map_or("null".to_string(), |obs| {
+        let levels = list(
+            OBSERVATORY_LEVEL_FACTORS.iter().enumerate(),
+            |(level, factor)| {
+                let (occupancy, opened) = (obs.occupancy[level], obs.opened[level]);
+                format!("{{\"factor\":{factor},\"occupancy\":{occupancy},\"opened\":{opened}}}")
+            },
+        );
+        format!("{{\"windows\":{},\"levels\":[{levels}]}}", obs.windows)
+    });
+    let replay = t.replay.unwrap_or_default();
+    let stages = [
+        ("sim", &t.sim_us),
+        ("publish", &t.publish_us),
+        ("render", &t.render_us),
+    ];
+    let stages = list(stages, |(stage, h)| {
+        format!(
+            "\"{stage}_us\":{{\"count\":{},{}}}",
+            h.count(),
+            quantiles(h)
+        )
+    });
+    let instructions = list(t.instructions.rows(), |row| {
+        let (name, count) = (row.instruction.name(), row.count);
+        let (total, mean) = (json_num(row.total), json_num(row.average));
+        format!("{{\"name\":\"{name}\",\"count\":{count},\"total_j\":{total},\"mean_j\":{mean}}}")
+    });
+    let detail = list(&view.shards, |(k, s)| {
+        format!(
+            "{{\"shard\":{k},\"scenario_mix\":\"{}\",\"seed\":{},\"slices\":{},\"cycles\":{},\"total_energy_j\":{},\"transactions\":{},\"anomalies\":{},\"degraded\":{},\"events\":{{\"published\":{},\"dropped\":{},\"lag\":{}}},\"observatory_windows\":{},\"flightrec_bundles\":{}}}",
+            plane.mix.name(),
+            shard_seed(plane.seed, *k),
             s.slices,
             s.cycles,
-            jnum(s.total_energy_j),
+            json_num(s.total_energy_j),
             s.transactions,
-            s.anomaly_events.len(),
-            s.degraded(),
+            s.anomaly_count,
+            s.degraded,
             s.events_published,
             s.events_dropped,
-            s.events_lag(),
-            s.observatory.as_ref().map_or(0, |o| o.windows_ingested()),
+            s.events_lag,
+            s.observatory.map_or(0, |o| o.windows),
             s.flightrec_bundles
-        );
-    }
-
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"status\":\"ok\",\"shards\":{n},\"scenario_mix\":\"{}\",\"uptime_s\":{},\"slices\":{},\"cycles\":{},\"seed\":{},\"total_energy_j\":{}",
+        )
+    });
+    format!(
+        "{},\"shards\":{},\"scenario_mix\":\"{}\",\"uptime_s\":{},\"slices\":{},\"cycles\":{},\"seed\":{},\"total_energy_j\":{}\
+         ,\"window_power_uw\":{{\"windows\":{},{}}}\
+         ,\"anomalies\":{{\"windows\":{},\"count\":{},\"baseline_updates\":{},\"last\":{last}}}\
+         ,\"transactions\":{},\"per_master_j\":[{per_master}]\
+         ,\"events\":{{\"enabled\":{},\"published\":{},\"dropped\":{},\"logged\":{},\"cursor\":{},\"lag\":{}}}\
+         ,\"degraded\":{},\"high_water\":{{\"slice\":{},\"window\":{}}},\"observatory\":{observatory}\
+         ,\"flightrec\":{{\"bundles\":{}}}\
+         ,\"replay\":{{\"trace_cycles\":{},\"variants\":{},\"cycles_per_sec\":{}}}\
+         ,\"http\":{{\"threads\":{},\"max_connections\":{},\"active\":{},\"shed\":{}}}\
+         ,\"stages\":{{{stages}}},\"instructions\":[{instructions}],\"shard_detail\":[{detail}]}}",
+        view.head(),
+        plane.shards.len(),
         plane.mix.name(),
-        jnum(plane.uptime_s()),
-        slices,
-        cycles,
-        plane.seed,
-        jnum(total_energy)
-    );
-    let _ = write!(
-        out,
-        ",\"window_power_uw\":{{\"windows\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-        window_power.count(),
-        jnum(window_power.quantile(0.5)),
-        jnum(window_power.quantile(0.95)),
-        jnum(window_power.quantile(0.99))
-    );
-    let _ = write!(
-        out,
-        ",\"anomalies\":{{\"windows\":{anomaly_windows},\"count\":{anomaly_count},\"baseline_updates\":{baseline_updates},\"last\":"
-    );
-    match &last_anomaly {
-        Some(e) => {
-            let _ = write!(
-                out,
-                "{{\"window\":{},\"start_cycle\":{},\"deviation_pct\":{},\"z_score\":{}}}",
-                e.window,
-                e.start_cycle,
-                jnum(e.deviation_pct),
-                jnum(e.z_score)
-            );
-        }
-        None => out.push_str("null"),
-    }
-    let _ = write!(out, "}},\"transactions\":{transactions},\"per_master_j\":[");
-    for (i, j) in per_master.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&jnum(*j));
-    }
-    let _ = write!(
-        out,
-        "],\"events\":{{\"enabled\":{ev_enabled},\"published\":{ev_published},\"dropped\":{ev_dropped},\"logged\":{ev_logged},\"cursor\":{ev_cursor},\"lag\":{ev_lag}}}"
-    );
-    let _ = write!(
-        out,
-        ",\"degraded\":{degraded},\"high_water\":{{\"slice\":{hw_slice},\"window\":{hw_window}}}"
-    );
-    out.push_str(",\"observatory\":");
-    if obs_any {
-        let _ = write!(out, "{{\"windows\":{obs_windows},\"levels\":[");
-        for (level, factor) in OBSERVATORY_LEVEL_FACTORS.iter().enumerate() {
-            if level > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"factor\":{factor},\"occupancy\":{},\"opened\":{}}}",
-                obs_occupancy[level], obs_opened[level]
-            );
-        }
-        out.push_str("]}");
-    } else {
-        out.push_str("null");
-    }
-    let _ = write!(out, ",\"flightrec\":{{\"bundles\":{flightrec}}}");
-    let _ = write!(
-        out,
-        ",\"replay\":{{\"trace_cycles\":{},\"variants\":{},\"cycles_per_sec\":{}}}",
-        replay.0,
-        replay.1,
-        jnum(replay.2)
-    );
-    let _ = write!(
-        out,
-        ",\"http\":{{\"threads\":{},\"max_connections\":{},\"active\":{},\"shed\":{}}}",
+        json_num(plane.uptime_s()),
+        t.slices,
+        t.cycles,
+        // The drilled shard's seed lane; the merged plane shows the base seed.
+        shard_seed(plane.seed, view.shard.unwrap_or(0)),
+        json_num(t.total_energy_j),
+        t.window_power_uw.count(),
+        quantiles(&t.window_power_uw),
+        t.anomaly_windows,
+        t.anomaly_count,
+        t.baseline_updates,
+        t.transactions,
+        t.events_enabled,
+        t.events_published,
+        t.events_dropped,
+        t.events_logged,
+        t.events_cursor,
+        t.events_lag,
+        t.degraded,
+        t.high_water_slice,
+        t.high_water_window,
+        t.flightrec_bundles,
+        replay.trace_cycles,
+        replay.variants,
+        json_num(replay.cycles_per_sec),
         plane.http_threads,
         plane.max_connections,
         // ordering: monitoring reads of hot admission counters; seqcst for simplicity.
         plane.active.load(Ordering::SeqCst),
         // ordering: monitoring read of the shed tally; seqcst for simplicity.
         plane.shed.load(Ordering::SeqCst)
-    );
-    out.push_str(",\"stages\":{");
-    for (i, (stage, hist)) in [
-        ("sim_us", &sim_us),
-        ("publish_us", &publish_us),
-        ("render_us", &render_us),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\"{stage}\":{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            hist.count(),
-            jnum(hist.quantile(0.5)),
-            jnum(hist.quantile(0.95)),
-            jnum(hist.quantile(0.99))
-        );
-    }
-    out.push_str("},\"instructions\":[");
-    for (i, (name, (count, total))) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mean = if *count > 0 {
-            total / *count as f64
-        } else {
-            0.0
-        };
-        let _ = write!(
-            out,
-            "{{\"name\":\"{name}\",\"count\":{count},\"total_j\":{},\"mean_j\":{}}}",
-            jnum(*total),
-            jnum(mean)
-        );
-    }
-    let _ = write!(out, "],\"shard_detail\":[{detail}]}}");
-    out
+    )
 }
 
-fn status_response(query: &str, plane: &Plane) -> (u16, &'static str, String) {
-    match parse_shard(query, plane.shards.len()) {
-        Err(msg) => bad_request(msg),
-        Ok(shard) => {
-            let started = Instant::now();
-            let body = match shard {
-                Some(i) => match plane.shards[i].state.lock() {
-                    Ok(s) => s.status_json(),
-                    Err(_) => {
-                        return (
-                            500,
-                            "text/plain; charset=utf-8",
-                            "state poisoned\n".to_string(),
-                        )
-                    }
-                },
-                None => merged_status_json(plane),
-            };
+/// The `/healthz` document: liveness, the degraded flag and the
+/// slice/window high-water marks, in one shape for every selection.
+fn healthz_json(view: &View) -> String {
+    format!(
+        "{},\"uptime_s\":{},\"degraded\":{},\"shards\":{},\"shed\":{},\"high_water\":{{\"slice\":{},\"window\":{}}}}}",
+        view.head(),
+        json_num(view.plane.uptime_s()),
+        view.total.degraded,
+        view.plane.shards.len(),
+        // ordering: monitoring read of the shed tally; seqcst for simplicity.
+        view.plane.shed.load(Ordering::SeqCst),
+        view.total.high_water_slice,
+        view.total.high_water_window
+    )
+}
+
+/// The `/metrics` registry: the addressed shards' merged series, the
+/// serving plane's own gauges, and — when several shards are addressed
+/// — every shard's series again under a `shard="K"` label.
+fn metrics_registry(view: &View) -> MetricsRegistry {
+    let plane = view.plane;
+    let mut reg = registry(&view.total);
+    let g = reg.gauge("serve_uptime_seconds", "Service uptime.", &[]);
+    reg.set(g, plane.uptime_s());
+    let g = reg.gauge("serve_shards", "Worker shards running.", &[]);
+    reg.set(g, plane.shards.len() as f64);
+    let g = reg.gauge("serve_http_threads", "HTTP pool size.", &[]);
+    reg.set(g, plane.http_threads as f64);
+    let g = reg.gauge(
+        "serve_http_max_connections",
+        "Admission limit: connections admitted beyond this are shed.",
+        &[],
+    );
+    reg.set(g, plane.max_connections as f64);
+    let g = reg.gauge(
+        "serve_http_active_connections",
+        "Connections admitted and not yet answered.",
+        &[],
+    );
+    // ordering: monitoring reads of hot admission counters; seqcst for simplicity.
+    reg.set(g, plane.active.load(Ordering::SeqCst) as f64);
+    let c = reg.counter(
+        "serve_http_shed_total",
+        "Connections shed with 503 by the admission limit.",
+        &[],
+    );
+    // ordering: monitoring read of the shed tally; seqcst for simplicity.
+    reg.add(c, plane.shed.load(Ordering::SeqCst) as f64);
+    if view.shards.len() > 1 {
+        for (k, snap) in &view.shards {
+            reg.merge_labeled(&registry(snap), "shard", &k.to_string());
+        }
+    }
+    reg
+}
+
+/// `/status`, `/healthz` and `/metrics`: copy the addressed snapshots,
+/// merge them and render once, with no shard lock held while the body
+/// is formatted.
+fn snapshot_response(endpoint: &str, query: &str, plane: &Plane) -> (u16, &'static str, String) {
+    let shard = match parse_shard(query, plane.shards.len()) {
+        Ok(s) => s,
+        Err(msg) => return bad_request(msg),
+    };
+    let started = Instant::now();
+    let Some(view) = View::new(plane, shard) else {
+        return poisoned();
+    };
+    match endpoint {
+        "/healthz" => (200, "application/json", healthz_json(&view)),
+        "/metrics" => (
+            200,
+            "text/plain; version=0.0.4; charset=utf-8",
+            to_prometheus(&metrics_registry(&view)),
+        ),
+        _ => {
+            let body = status_json(&view);
             // Self-measured with one-render lag, booked to the shard
             // that answered (shard 0 for the merged view): this
             // observation shows up in the next render's stages block.
-            let book = shard.unwrap_or(0);
-            if let Ok(mut s) = plane.shards[book].state.lock() {
-                s.render_us.observe(started.elapsed().as_micros() as u64);
+            if let Ok(mut s) = plane.shards[shard.unwrap_or(0)].state.lock() {
+                s.snap
+                    .render_us
+                    .observe(started.elapsed().as_micros() as u64);
             }
-            (200, "application/json", body)
-        }
-    }
-}
-
-fn healthz_response(query: &str, plane: &Plane) -> (u16, &'static str, String) {
-    match parse_shard(query, plane.shards.len()) {
-        Err(msg) => bad_request(msg),
-        Ok(Some(i)) => match plane.shards[i].state.lock() {
-            Ok(s) => {
-                let body = format!(
-                    "{{\"status\":\"ok\",\"uptime_s\":{},\"degraded\":{},\"high_water\":{{\"slice\":{},\"window\":{}}}}}",
-                    jnum(s.uptime_s()),
-                    s.degraded(),
-                    s.slices,
-                    s.anomaly_windows
-                );
-                (200, "application/json", body)
-            }
-            Err(_) => (
-                500,
-                "text/plain; charset=utf-8",
-                "state poisoned\n".to_string(),
-            ),
-        },
-        Ok(None) => {
-            let mut degraded = false;
-            let mut hw_slice = 0u64;
-            let mut hw_window = 0u64;
-            for sh in &plane.shards {
-                if let Ok(s) = sh.state.lock() {
-                    degraded |= s.degraded();
-                    hw_slice = hw_slice.max(s.slices);
-                    hw_window = hw_window.max(s.anomaly_windows);
-                }
-            }
-            let body = format!(
-                "{{\"status\":\"ok\",\"uptime_s\":{},\"degraded\":{degraded},\"shards\":{},\"shed\":{},\"high_water\":{{\"slice\":{hw_slice},\"window\":{hw_window}}}}}",
-                jnum(plane.uptime_s()),
-                plane.shards.len(),
-                // ordering: monitoring read of the shed tally; seqcst for simplicity.
-                plane.shed.load(Ordering::SeqCst)
-            );
             (200, "application/json", body)
         }
     }
@@ -2136,15 +1821,13 @@ fn route(path: &str, plane: &Plane) -> (u16, &'static str, String) {
     match path {
         "/" | "/dashboard" => (200, "text/html; charset=utf-8", DASHBOARD_HTML.to_string()),
         "/events" => events_response(query, plane),
-        "/healthz" => healthz_response(query, plane),
+        "/healthz" | "/metrics" | "/status" => snapshot_response(path, query, plane),
         "/query" => query_response(query, plane),
         "/quit" => (
             200,
             "text/plain; charset=utf-8",
             "shutting down\n".to_string(),
         ),
-        "/metrics" => metrics_response(query, plane),
-        "/status" => status_response(query, plane),
         _ => (404, "text/plain; charset=utf-8", "not found\n".to_string()),
     }
 }
@@ -2209,4 +1892,114 @@ pub fn http_get(addr: &str, path: &str, timeout: Duration) -> Result<HttpRespons
         None => String::new(),
     };
     Ok(HttpResponse { status, body })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ahbpower::{Instruction, INSTRUCTION_COUNT};
+    use proptest::prelude::*;
+    use proptest::TestRng;
+
+    /// A histogram over `bounds` holding a handful of samples.
+    fn histogram(bounds: &[u64], r: &mut TestRng) -> CycleHistogram {
+        let mut h = CycleHistogram::new(bounds);
+        for _ in 0..r.below(8) {
+            h.observe(r.below(2 * bounds[bounds.len() - 1]));
+        }
+        h
+    }
+
+    /// A snapshot with every field drawn from `seed`. Small ranges for
+    /// windows and trace cycles make ties (and so the tie-break rules)
+    /// common; optional parts are often absent.
+    fn snapshot(seed: u64) -> ShardSnapshot {
+        let r = &mut TestRng::seed_from_u64(seed);
+        ShardSnapshot {
+            slices: r.below(100),
+            cycles: r.below(1 << 30),
+            total_energy_j: r.next_f64() * 1e-6,
+            instructions: InstructionLedger::from_parts(
+                std::array::from_fn(|_| r.below(3) * r.below(999)),
+                std::array::from_fn(|_| r.next_f64() * 1e-9),
+            ),
+            per_master_j: (0..r.below(4)).map(|_| r.next_f64() * 1e-7).collect(),
+            transactions: r.below(1 << 20),
+            window_power_uw: histogram(&WINDOW_POWER_BOUNDS_UW, r),
+            anomaly_windows: r.below(50),
+            anomaly_count: r.below(5),
+            last_anomaly: (r.below(2) == 0).then(|| AnomalyEvent {
+                window: r.below(4),
+                start_cycle: r.below(1 << 20),
+                measured_j: r.next_f64(),
+                predicted_j: r.next_f64(),
+                deviation_pct: r.next_f64() * 100.0,
+                z_score: r.next_f64() * 10.0,
+            }),
+            baseline_updates: r.below(50),
+            degraded: r.below(2) == 0,
+            high_water_slice: r.below(100),
+            high_water_window: r.below(50),
+            events_enabled: r.below(2) == 0,
+            events_published: r.below(1 << 20),
+            events_dropped: r.below(100),
+            events_logged: r.below(1 << 20),
+            events_cursor: r.below(1 << 20),
+            events_lag: r.below(100),
+            observatory: (r.below(2) == 0).then(|| ObservatoryCounts {
+                windows: r.below(1000),
+                occupancy: [r.below(1024), r.below(1024), r.below(1024)],
+                opened: [r.below(1000), r.below(100), r.below(10)],
+            }),
+            flightrec_bundles: r.below(32),
+            replay: (r.below(2) == 0).then(|| ReplayCalibration {
+                trace_cycles: r.below(4),
+                variants: r.below(16),
+                cycles_per_sec: r.next_f64() * 1e7,
+            }),
+            sim_us: histogram(&STAGE_US_BOUNDS, r),
+            publish_us: histogram(&STAGE_US_BOUNDS, r),
+            render_us: histogram(&STAGE_US_BOUNDS, r),
+        }
+    }
+
+    fn merged(mut a: ShardSnapshot, b: &ShardSnapshot) -> ShardSnapshot {
+        a.merge(b);
+        a
+    }
+
+    /// Every f64 sum in a snapshot, and the snapshot with them zeroed.
+    fn split(s: &ShardSnapshot) -> (Vec<f64>, ShardSnapshot) {
+        let mut exact = s.clone();
+        let mut sums = vec![std::mem::take(&mut exact.total_energy_j)];
+        sums.extend(exact.per_master_j.iter_mut().map(std::mem::take));
+        let ledger = &s.instructions;
+        let at = Instruction::from_index;
+        sums.extend((0..INSTRUCTION_COUNT).map(|i| ledger.energy(at(i))));
+        let counts = std::array::from_fn(|i| ledger.count(at(i)));
+        exact.instructions = InstructionLedger::from_parts(counts, [0.0; INSTRUCTION_COUNT]);
+        (sums, exact)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One shard is a merge of one: the empty snapshot is a two-sided
+        /// identity, and grouping never changes a merged view.
+        #[test]
+        fn snapshot_merge_is_associative_with_identity(seeds in (any::<u64>(), any::<u64>(), any::<u64>())) {
+            let (a, b, c) = (snapshot(seeds.0), snapshot(seeds.1), snapshot(seeds.2));
+            let empty = ShardSnapshot::default();
+            prop_assert_eq!(&merged(empty.clone(), &a), &a);
+            prop_assert_eq!(&merged(a.clone(), &empty), &a);
+            // Integers, flags, histograms and picks agree exactly; f64
+            // sums only to rounding.
+            let (left, left_exact) = split(&merged(merged(a.clone(), &b), &c));
+            let (right, right_exact) = split(&merged(a, &merged(b, &c)));
+            prop_assert_eq!(left_exact, right_exact);
+            for (x, y) in left.iter().zip(&right) {
+                prop_assert!((x - y).abs() <= 1e-12 * x.abs().max(y.abs()), "{x} vs {y}");
+            }
+        }
+    }
 }

@@ -649,6 +649,85 @@ fn panic_in_slice_dumps_post_mortem_and_server_survives() {
 }
 
 #[test]
+fn one_shard_is_a_merge_of_one() {
+    // On a 1-shard plane the merged view and the shard-0 drill-down
+    // render the same snapshot: once the slice budget has drained, every
+    // aggregate of /status agrees and the event pages are byte-identical.
+    let handle = serve(test_config()).expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+    let status = |path: &str| {
+        let resp = http_get(&addr, path, TIMEOUT).expect("status");
+        assert_eq!(resp.status, 200, "{path}");
+        parse_json(&resp.body).expect("status parses")
+    };
+    for _ in 0..400 {
+        if status("/status").get("slices").and_then(JsonValue::as_u64) == Some(3) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(25));
+    }
+    let merged = status("/status");
+    let drilled = status("/status?shard=0");
+    assert_eq!(merged.get("slices").and_then(JsonValue::as_u64), Some(3));
+    assert_eq!(
+        drilled.get("shard").and_then(JsonValue::as_u64),
+        Some(0),
+        "drill-down names its shard"
+    );
+    for key in [
+        "shards",
+        "scenario_mix",
+        "slices",
+        "cycles",
+        "seed",
+        "total_energy_j",
+        "window_power_uw",
+        "anomalies",
+        "transactions",
+        "per_master_j",
+        "events",
+        "degraded",
+        "high_water",
+        "observatory",
+        "flightrec",
+        "replay",
+        "instructions",
+        "shard_detail",
+    ] {
+        assert!(merged.get(key).is_some(), "/status lacks {key}");
+        assert_eq!(merged.get(key), drilled.get(key), "/status {key}");
+    }
+    let merged_stages = merged.get("stages").expect("stages");
+    let drilled_stages = drilled.get("stages").expect("stages");
+    for stage in ["sim_us", "publish_us"] {
+        assert_eq!(
+            merged_stages.get(stage),
+            drilled_stages.get(stage),
+            "{stage}"
+        );
+    }
+
+    let events = http_get(&addr, "/events?since=0", TIMEOUT).expect("events");
+    let drilled_events = http_get(&addr, "/events?since=0&shard=0", TIMEOUT).expect("events");
+    assert_eq!(events.status, 200);
+    assert_eq!(events.body, drilled_events.body, "one ring, one page");
+
+    // The single ring parses `since` like the merged plane does: a
+    // malformed cursor is a clean 400 with or without `shard=0`.
+    for bad in [
+        "/events?since=abc",
+        "/events?since=abc&shard=0",
+        "/events?since=1.2&shard=0",
+    ] {
+        let resp = http_get(&addr, bad, TIMEOUT).expect("bad cursor");
+        assert_eq!(resp.status, 400, "{bad} must answer 400: {}", resp.body);
+    }
+
+    let summary = handle.wait().expect("clean shutdown");
+    assert_eq!(summary.slices, 3);
+}
+
+#[test]
 fn injection_spec_parses() {
     let inj = Injection::parse("arb:2.0@3").expect("full spec");
     assert_eq!(inj.block, SubBlock::Arb);

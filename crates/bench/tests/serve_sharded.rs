@@ -109,7 +109,7 @@ fn merged_plane_aggregates_and_drills_down() {
         "different seed lanes must produce different energy"
     );
 
-    // Per-shard /status drill-down keeps the single-shard shape.
+    // Per-shard /status drill-down: the same document, naming its shard.
     for k in 0..2u64 {
         let resp = http_get(&addr, &format!("/status?shard={k}"), TIMEOUT).expect("shard status");
         assert_eq!(resp.status, 200);
@@ -367,6 +367,77 @@ fn loadgen_drives_sharded_server_and_reports() {
         );
     }
 
+    let quit = http_get(&addr, "/quit", TIMEOUT).expect("quit");
+    assert_eq!(quit.status, 200);
+    handle.wait().expect("clean shutdown");
+}
+
+/// The unlabelled (plane-level) value of `name{instruction="..."}` in a
+/// Prometheus body, by instruction.
+fn instruction_series(body: &str, name: &str) -> std::collections::BTreeMap<String, f64> {
+    let prefix = format!("{name}{{instruction=\"");
+    body.lines()
+        .filter_map(|line| {
+            let (instruction, value) = line.strip_prefix(&prefix)?.split_once("\"} ")?;
+            Some((instruction.to_string(), value.parse().ok()?))
+        })
+        .collect()
+}
+
+#[test]
+fn merged_instruction_means_are_total_over_count() {
+    // A mean is total/count of the merged rows, never a sum of the
+    // per-shard means: /metrics and /status must agree with each other
+    // and with their own totals for every instruction.
+    let handle = serve(sharded_config(2, 3)).expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+    let doc = wait_for_slices(&addr, 6);
+    let metrics = http_get(&addr, "/metrics", TIMEOUT).expect("metrics");
+    let means = instruction_series(&metrics.body, "power_instruction_mean_energy_joules");
+    let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+    let rows = doc
+        .get("instructions")
+        .and_then(JsonValue::as_array)
+        .expect("instructions");
+    assert!(!rows.is_empty());
+    for row in rows {
+        let name = row.get("name").and_then(JsonValue::as_str).expect("name");
+        let count = row.get("count").and_then(JsonValue::as_f64).expect("count");
+        let total = row
+            .get("total_j")
+            .and_then(JsonValue::as_f64)
+            .expect("total");
+        let status_mean = row.get("mean_j").and_then(JsonValue::as_f64).expect("mean");
+        let metrics_mean = *means
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} in /metrics"));
+        assert!(
+            close(status_mean, total / count),
+            "{name}: /status mean_j {status_mean} != total/count {}",
+            total / count
+        );
+        assert!(
+            close(metrics_mean, status_mean),
+            "{name}: /metrics mean {metrics_mean} != /status mean_j {status_mean}"
+        );
+    }
+    let quit = http_get(&addr, "/quit", TIMEOUT).expect("quit");
+    assert_eq!(quit.status, 200);
+    handle.wait().expect("clean shutdown");
+}
+
+#[test]
+fn malformed_drill_down_cursors_are_rejected() {
+    // A single-ring drill-down parses `since` like the merged plane: a
+    // non-numeric or multi-part cursor is a clean 400, not a silent
+    // restart from the oldest event.
+    let handle = serve(sharded_config(2, 1)).expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+    for bad in ["/events?since=abc&shard=0", "/events?since=1.2&shard=0"] {
+        let resp = http_get(&addr, bad, TIMEOUT).expect("bad cursor");
+        assert_eq!(resp.status, 400, "{bad} must answer 400: {}", resp.body);
+        assert!(resp.body.contains("bad since"), "{bad}: {}", resp.body);
+    }
     let quit = http_get(&addr, "/quit", TIMEOUT).expect("quit");
     assert_eq!(quit.status, 200);
     handle.wait().expect("clean shutdown");

@@ -60,7 +60,7 @@ pub struct InstructionRow {
 /// assert_eq!(row.count, 2);
 /// assert!((row.average - 15.0e-12).abs() < 1e-15);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InstructionLedger {
     counts: [u64; INSTRUCTION_COUNT],
     energy: [f64; INSTRUCTION_COUNT],

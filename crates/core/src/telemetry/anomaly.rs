@@ -18,6 +18,7 @@
 //! baseline without touching the instruction mix.
 
 use crate::instruction::{Instruction, INSTRUCTION_COUNT};
+use crate::telemetry::export::json_num;
 
 /// Tuning knobs for the [`AnomalyDetector`]. The defaults flag a
 /// sustained ≥5% energy shift within a couple of windows while staying
@@ -110,20 +111,11 @@ impl AnomalyEvent {
              \"z_score\":{}}}",
             self.window,
             self.start_cycle,
-            num(self.measured_j),
-            num(self.predicted_j),
-            num(self.deviation_pct),
-            num(self.z_score),
+            json_num(self.measured_j),
+            json_num(self.predicted_j),
+            json_num(self.deviation_pct),
+            json_num(self.z_score),
         )
-    }
-}
-
-/// A JSON-safe float (non-finite values become `null`).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

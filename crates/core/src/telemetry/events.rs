@@ -44,6 +44,7 @@ use ahbpower_sim::KernelStats;
 
 use super::anomaly::WindowVerdict;
 use super::atomics::{AtomicBoolCell, AtomicU64Cell, Atomics, StdAtomics};
+use super::export::json_num;
 
 /// Default ring capacity (rounded up to a power of two by the bus).
 /// 16 Ki slots × 64 B = 1 MiB, small enough to stay resident in a
@@ -199,19 +200,10 @@ impl Event {
             self.window,
             self.cycle,
             self.tag,
-            fnum(self.a),
-            fnum(self.b)
+            json_num(self.a),
+            json_num(self.b)
         );
         out
-    }
-}
-
-/// A JSON-safe float (non-finite values become `null`).
-fn fnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

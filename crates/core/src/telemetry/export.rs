@@ -49,8 +49,9 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// Formats an `f64` as a JSON-compatible number (JSON has no infinities
-/// or NaN; those become `null`).
-fn json_num(v: f64) -> String {
+/// or NaN; those become `null`). Every hand-built JSON document in the
+/// workspace formats its floats through this one helper.
+pub fn json_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -212,9 +213,21 @@ pub fn to_csv(reg: &MetricsRegistry) -> String {
 /// backslash, double quote and newline become `\\`, `\"` and `\n`.
 /// [`prom_unescape_label`] inverts it exactly.
 pub fn prom_escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
+    let mut out = String::with_capacity(v.len());
+    push_prom_escaped(&mut out, v);
+    out
+}
+
+/// Appends `v` escaped as [`prom_escape_label`] does.
+fn push_prom_escaped(out: &mut String, v: &str) {
+    for c in v.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
 }
 
 /// Inverts [`prom_escape_label`]. Unknown escape sequences and a
@@ -242,19 +255,19 @@ pub fn prom_unescape_label(v: &str) -> String {
     out
 }
 
-fn prom_labels(meta: &MetricMeta, extra: Option<(&str, &str)>) -> String {
-    let mut pairs: Vec<String> = meta
-        .labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", prom_escape_label(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        pairs.push(format!("{k}=\"{}\"", prom_escape_label(v)));
+/// Appends `{k="v",...}` for `meta`'s labels plus `extra`, or nothing
+/// when there are none.
+fn push_prom_labels(out: &mut String, meta: &MetricMeta, extra: Option<(&str, &str)>) {
+    let labels = meta.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+    for (i, (k, v)) in labels.chain(extra).enumerate() {
+        out.push(if i == 0 { '{' } else { ',' });
+        out.push_str(k);
+        out.push_str("=\"");
+        push_prom_escaped(out, v);
+        out.push('"');
     }
-    if pairs.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", pairs.join(","))
+    if !meta.labels.is_empty() || extra.is_some() {
+        out.push('}');
     }
 }
 
@@ -276,23 +289,15 @@ pub fn to_prometheus(reg: &MetricsRegistry) -> String {
     let mut seen: Vec<String> = Vec::new();
     for c in reg.counters() {
         prom_header(&mut out, &mut seen, &c.meta.name, &c.meta.help, "counter");
-        let _ = writeln!(
-            out,
-            "{}{} {}",
-            c.meta.name,
-            prom_labels(&c.meta, None),
-            c.value
-        );
+        out.push_str(&c.meta.name);
+        push_prom_labels(&mut out, &c.meta, None);
+        let _ = writeln!(out, " {}", c.value);
     }
     for g in reg.gauges() {
         prom_header(&mut out, &mut seen, &g.meta.name, &g.meta.help, "gauge");
-        let _ = writeln!(
-            out,
-            "{}{} {}",
-            g.meta.name,
-            prom_labels(&g.meta, None),
-            g.value
-        );
+        out.push_str(&g.meta.name);
+        push_prom_labels(&mut out, &g.meta, None);
+        let _ = writeln!(out, " {}", g.value);
     }
     for h in reg.histograms() {
         prom_header(&mut out, &mut seen, &h.meta.name, &h.meta.help, "histogram");
@@ -302,28 +307,16 @@ pub fn to_prometheus(reg: &MetricsRegistry) -> String {
                 Some(b) => b.to_string(),
                 None => "+Inf".to_string(),
             };
-            let _ = writeln!(
-                out,
-                "{}_bucket{} {}",
-                h.meta.name,
-                prom_labels(&h.meta, Some(("le", le.as_str()))),
-                cum
-            );
+            let _ = write!(out, "{}_bucket", h.meta.name);
+            push_prom_labels(&mut out, &h.meta, Some(("le", le.as_str())));
+            let _ = writeln!(out, " {cum}");
         }
-        let _ = writeln!(
-            out,
-            "{}_sum{} {}",
-            h.meta.name,
-            prom_labels(&h.meta, None),
-            h.hist.sum()
-        );
-        let _ = writeln!(
-            out,
-            "{}_count{} {}",
-            h.meta.name,
-            prom_labels(&h.meta, None),
-            h.hist.count()
-        );
+        let _ = write!(out, "{}_sum", h.meta.name);
+        push_prom_labels(&mut out, &h.meta, None);
+        let _ = writeln!(out, " {}", h.hist.sum());
+        let _ = write!(out, "{}_count", h.meta.name);
+        push_prom_labels(&mut out, &h.meta, None);
+        let _ = writeln!(out, " {}", h.hist.count());
     }
     out
 }

@@ -51,8 +51,8 @@ pub use events::{
     DEFAULT_EVENT_CAPACITY,
 };
 pub use export::{
-    events_to_jsonl, json_escape, prom_escape_label, prom_unescape_label, to_csv, to_folded,
-    to_jsonl, to_prometheus, to_trace_events, ExportMeta, TraceEventMeta,
+    events_to_jsonl, json_escape, json_num, prom_escape_label, prom_unescape_label, to_csv,
+    to_folded, to_jsonl, to_prometheus, to_trace_events, ExportMeta, TraceEventMeta,
 };
 pub use observatory::{
     Observatory, ObservatoryConfig, QueryResult, SeriesPoint, DEFAULT_OBSERVATORY_CAPACITY,

@@ -22,6 +22,7 @@
 use std::fmt::Write as _;
 
 use super::anomaly::WindowVerdict;
+use super::export::json_num;
 use crate::macromodel::BlockEnergy;
 use crate::model::SubBlock;
 
@@ -474,7 +475,7 @@ impl Observatory {
                         if x > 0 {
                             out.push(',');
                         }
-                        out.push_str(&num(arr[base + x]));
+                        out.push_str(&json_num(arr[base + x]));
                     }
                     out.push(']');
                 }
@@ -482,15 +483,6 @@ impl Observatory {
             }
         }
         out
-    }
-}
-
-/// A JSON-safe float (non-finite values become `null`).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

@@ -321,44 +321,10 @@ impl MetricsRegistry {
             .map(|g| g.value)
     }
 
-    /// Folds another registry into this one, metric by metric, keyed by
-    /// (name, label set): counter and gauge values *add*, histograms
-    /// merge bucket-wise ([`Histogram::merge`]). Metrics absent here are
-    /// registered first (help text and bucket bounds copied from
-    /// `other`), so merging N per-shard registries into an empty one
-    /// yields the fleet-wide aggregate. Gauges add because every gauge
-    /// this workspace exports is an extensive per-shard quantity (ring
-    /// occupancy, cursor lag, degraded count); callers that want a
-    /// different composition (max, last) overwrite those gauges after
-    /// the merge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a histogram exists on both sides with different bucket
-    /// bounds.
-    pub fn merge_sum(&mut self, other: &MetricsRegistry) {
-        for c in &other.counters {
-            let refs = label_refs(&c.meta.labels);
-            let id = self.counter(&c.meta.name, &c.meta.help, &refs);
-            self.counters[id.0].value += c.value;
-        }
-        for g in &other.gauges {
-            let refs = label_refs(&g.meta.labels);
-            let id = self.gauge(&g.meta.name, &g.meta.help, &refs);
-            self.gauges[id.0].value += g.value;
-        }
-        for h in &other.histograms {
-            let refs = label_refs(&h.meta.labels);
-            let id = self.histogram(&h.meta.name, &h.meta.help, &refs, h.hist.bounds());
-            self.histograms[id.0].hist.merge(&h.hist);
-        }
-    }
-
     /// Copies every metric of `other` into this registry with one extra
     /// label appended (e.g. `("shard", "3")`), preserving values and
-    /// bucket contents. This is the per-shard *breakdown* companion to
-    /// [`MetricsRegistry::merge_sum`]: the aggregate keeps the plain
-    /// names, the breakdown keeps per-shard identity side by side.
+    /// bucket contents: a per-shard *breakdown* that sits beside an
+    /// aggregate registered under the plain names.
     pub fn merge_labeled(&mut self, other: &MetricsRegistry, key: &str, value: &str) {
         for c in &other.counters {
             let mut refs = label_refs(&c.meta.labels);
@@ -490,56 +456,16 @@ mod tests {
     }
 
     #[test]
-    fn merge_sum_aggregates_counters_gauges_and_histograms() {
-        let a = shard_registry(1.5, 2.0, &[5, 50]);
-        let b = shard_registry(2.25, 3.0, &[5, 500]);
-        let mut merged = MetricsRegistry::new();
-        merged.merge_sum(&a);
-        merged.merge_sum(&b);
-        assert_eq!(
-            merged.counter_value("power_total_energy_joules", &[]),
-            Some(3.75)
-        );
-        assert_eq!(
-            merged.gauge_value("serve_events_cursor_lag", &[]),
-            Some(5.0)
-        );
-        let hist = merged
-            .histogram_by_name("serve_stage_duration_microseconds", &[])
-            .unwrap();
-        assert_eq!(hist.count(), 4);
-        assert_eq!(hist.bucket_counts(), &[2, 1, 1]);
-        assert_eq!(hist.sum(), 560);
-        // Quantiles of the merged histogram describe the union population.
-        assert_eq!(hist.quantile(1.0), 100.0);
-        // Merging is label-aware: a labelled twin stays separate.
-        let mut labelled = MetricsRegistry::new();
-        let c = labelled.counter("power_total_energy_joules", "Energy.", &[("master", "0")]);
-        labelled.add(c, 9.0);
-        merged.merge_sum(&labelled);
-        assert_eq!(
-            merged.counter_value("power_total_energy_joules", &[]),
-            Some(3.75),
-            "unlabelled aggregate must not absorb the labelled twin"
-        );
-        assert_eq!(
-            merged.counter_value("power_total_energy_joules", &[("master", "0")]),
-            Some(9.0)
-        );
-    }
-
-    #[test]
     fn merge_labeled_keeps_per_shard_breakdowns() {
         let a = shard_registry(1.0, 1.0, &[5]);
         let b = shard_registry(2.0, 4.0, &[50]);
-        let mut plane = MetricsRegistry::new();
-        plane.merge_sum(&a);
-        plane.merge_sum(&b);
+        let mut plane = shard_registry(3.0, 5.0, &[5, 50]);
         plane.merge_labeled(&a, "shard", "0");
         plane.merge_labeled(&b, "shard", "1");
         assert_eq!(
             plane.counter_value("power_total_energy_joules", &[]),
-            Some(3.0)
+            Some(3.0),
+            "the breakdown leaves the unlabelled aggregate alone"
         );
         assert_eq!(
             plane.counter_value("power_total_energy_joules", &[("shard", "0")]),
@@ -561,15 +487,5 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket bounds")]
-    fn merge_sum_rejects_mismatched_histogram_bounds() {
-        let mut a = MetricsRegistry::new();
-        a.histogram("lat", "L.", &[], &[1, 2]);
-        let mut b = MetricsRegistry::new();
-        b.histogram("lat", "L.", &[], &[1, 3]);
-        a.merge_sum(&b);
     }
 }
