@@ -4,24 +4,26 @@
 //! cargo run --release -p ahbpower-bench --bin repro -- all
 //! cargo run --release -p ahbpower-bench --bin repro -- table1 [--cycles N] [--seed S]
 //! subcommands: table1 fig3 fig4 fig5 fig6 validation styles overhead ablation
-//!              coding dpm sweep sweep-bench record replay replay-bench
-//!              telemetry telemetry-overhead events events-overhead
-//!              observatory-overhead query trace analyze serve serve-probe
-//!              baseline all
+//!              coding dpm sweep record replay telemetry events query trace
+//!              analyze serve serve-probe loadgen baseline all
 //! ```
 //!
 //! Text goes to stdout; CSV artifacts go to `results/`. Pass `--telemetry`
 //! to any figure/table command to also emit `results/telemetry.{jsonl,csv,prom}`
 //! from the same run; the `telemetry` subcommand does that plus a kernel-hosted
-//! profiling pass, and `telemetry-overhead` measures the cost of the subsystem
-//! and writes `BENCH_telemetry.json`.
+//! profiling pass.
+//!
+//! `overhead` is the one timing harness (paper Sec 6): a ladder of
+//! session configurations — functional, power, telemetry, anomaly,
+//! event ring off/on, observatory, recorder — each timed against its
+//! parent rung with one noise protocol, written to `BENCH_overhead.json`.
+//! It exits 1 when a rung blows its budget or books other energy than
+//! the plain power session.
 //!
 //! Sweep-shaped subcommands (`validation`, `styles`, `ablation`, `coding`,
 //! `dpm`, `sweep`) shard their independent points across OS threads; pass
 //! `--jobs N` to control the worker count (default: all available cores,
 //! `--jobs 1` for serial). Results are byte-identical for any job count.
-//! `sweep-bench` times the seed×style sweep at every power-of-two job
-//! count up to the machine's parallelism and writes `BENCH_sweep.json`.
 //!
 //! The power-emulation pipeline records once and estimates many times:
 //! `record` captures a compact activity trace of the paper testbench
@@ -29,9 +31,7 @@
 //! model variants from that trace without touching the simulator
 //! (golden-checked against the recorded run's ledger total, variant
 //! results to `results/replay.jsonl`; `--inject block:factor` plus
-//! `--expect-mismatch` prove the golden check trips), and
-//! `replay-bench` measures record overhead and the replay speedup over
-//! re-simulating, writing `BENCH_replay.json`.
+//! `--expect-mismatch` prove the golden check trips).
 //!
 //! `trace` runs the paper testbench and the SoC scenario under the
 //! transaction-level energy tracer and writes Chrome trace-event JSON
@@ -57,24 +57,24 @@
 //! `query` answers the same range queries offline from a flushed
 //! `results/observatory.jsonl` (`--series energy --from 0 --to 500
 //! --step 10`), printing byte-identical JSON to the live `/query`
-//! endpoint. `observatory-overhead` measures what the multi-resolution
-//! store costs per cycle and writes `BENCH_observatory.json`.
+//! endpoint.
 //!
 //! `events` runs a sliced offline workload with the structured event bus
 //! enabled, writes `results/events.jsonl`, and self-checks the causal
 //! chain (every `AnomalyFlagged` window links to an `EnergyBooked`
 //! verdict and to `TxnComplete` transactions of the same slice). A fault
 //! is injected mid-run by default so the chain is never vacuous; override
-//! with `--inject block:factor[@slice]`. `events-overhead` measures what
-//! the ring costs (no tap vs attached-but-disabled vs enabled) and
-//! writes `BENCH_events.json`.
+//! with `--inject block:factor[@slice]`.
 //! `serve-probe --addr HOST:PORT` smoke-tests a running service without
-//! curl. `baseline record` snapshots per-instruction energy to
-//! `results/baseline.json`; `baseline compare --tolerance-pct N` re-runs
-//! at the snapshot's cycles/seed and exits 1 on drift — the regression
-//! gate `scripts/check.sh` and CI run. `--inject block:factor[@slice]`
-//! scales one sub-block's macromodel coefficients (serve: from the given
-//! slice; baseline: from the start) to prove the detectors trip.
+//! curl. `loadgen` drives every endpoint of a self-hosted 2-shard server
+//! (or `--addr`) from client threads and writes `BENCH_serve.json`,
+//! exiting 1 below `--min-rps` or past 1% errors. `baseline record`
+//! snapshots per-instruction energy to `results/baseline.json`;
+//! `baseline compare --tolerance-pct N` re-runs at the snapshot's
+//! cycles/seed and exits 1 on drift — the regression gate
+//! `scripts/check.sh` and CI run. `--inject block:factor[@slice]` scales
+//! one sub-block's macromodel coefficients (serve: from the given slice;
+//! baseline: from the start) to prove the detectors trip.
 //!
 //! `analyze` runs the static analyzer (`ahbpower-analyzer`): model-level
 //! checks over the shipped instruction set/macromodels/workloads plus the
@@ -101,10 +101,9 @@ use ahbpower::{
 };
 use ahbpower_bench::{
     available_jobs, build_paper_bus, compare_probe_styles_parallel, replay_sweep,
-    replay_variant_model, replay_variant_spec, resimulate_variant, run_paper_experiment,
-    run_paper_experiment_recorded, run_paper_experiment_telemetered, run_paper_experiment_traced,
-    run_soc_experiment_traced, run_sweep, sweep_csv, sweep_grid, sweep_report, validate_json,
-    PaperRun, ProbeStyle, SweepPoint, SweepRunner,
+    replay_variant_model, replay_variant_spec, run_paper_experiment, run_paper_experiment_recorded,
+    run_paper_experiment_telemetered, run_paper_experiment_traced, run_soc_experiment_traced,
+    run_sweep, sweep_csv, sweep_grid, sweep_report, validate_json, PaperRun, SweepRunner,
 };
 use ahbpower_sim::SimTime;
 use ahbpower_workloads::PaperTestbench;
@@ -346,6 +345,9 @@ fn main() {
         .unwrap_or("all")
         .to_string();
     let sub = positionals.get(1).map(String::as_str);
+    if cmd == "overhead" && cycles == 0 {
+        usage("overhead needs --cycles >= 1");
+    }
     fs::create_dir_all("results").expect("create results/");
     match cmd.as_str() {
         "serve" => {
@@ -417,7 +419,6 @@ fn main() {
         "coding" => coding(cycles.min(300_000), seed, jobs),
         "dpm" => dpm(cycles.min(500_000), seed, jobs),
         "sweep" => sweep(cycles.min(200_000), seed, jobs),
-        "sweep-bench" => sweep_bench(cycles.min(200_000), seed, jobs),
         "record" => record_cmd(cycles.min(1_000_000), seed, out.as_deref()),
         "replay" => replay_cmd(
             file.as_deref().unwrap_or("results/replay_trace.bin"),
@@ -427,14 +428,10 @@ fn main() {
             inject.as_deref(),
             expect_mismatch,
         ),
-        "replay-bench" => replay_bench(cycles.min(200_000), seed, variants, jobs),
         "telemetry" => telemetry_run(cycles.min(1_000_000), seed, jobs),
         "trace" => trace_cmd(cycles.min(1_000_000), seed, top, ring),
         "analyze" => analyze(script.as_deref(), deep, mutate.as_deref()),
-        "telemetry-overhead" => telemetry_overhead(cycles.min(1_000_000), seed, jobs),
         "events" => events_cmd(cycles.min(500_000), seed, slice_cycles, inject.as_deref()),
-        "events-overhead" => events_overhead(cycles.min(1_000_000), seed),
-        "observatory-overhead" => observatory_overhead(cycles.min(1_000_000), seed),
         "all" => {
             let mut r = run(cycles, seed, telemetry);
             table1(&mut r);
@@ -444,7 +441,6 @@ fn main() {
             fig6(&mut r);
             validation(jobs);
             styles(cycles.min(500_000), seed, jobs);
-            overhead(cycles.min(1_000_000), seed);
             ablation(cycles.min(1_000_000), seed, jobs);
             coding(cycles.min(300_000), seed, jobs);
             dpm(cycles.min(500_000), seed, jobs);
@@ -457,7 +453,7 @@ fn main() {
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: repro [table1|fig3|fig4|fig5|fig6|validation|styles|overhead|ablation|coding|dpm|sweep|sweep-bench|record|replay|replay-bench|telemetry|telemetry-overhead|events|events-overhead|observatory-overhead|query|trace|analyze|serve|serve-probe|loadgen|baseline record|baseline compare|all] [--cycles N] [--seed S] [--jobs N] [--variants N] [--telemetry] [--script FILE] [--top N] [--ring-capacity N] [--addr HOST:PORT] [--mix paper|soc|mixed] [--slices N] [--slice-cycles N] [--shards N] [--http-threads N] [--max-connections N] [--concurrency N] [--duration-s S] [--min-rps N] [--inject block:factor[@slice]] [--expect-mismatch] [--deep] [--mutate ring-torn|ordering-relaxed|arbiter-double-grant] [--out FILE] [--file FILE] [--tolerance-pct N] [--series NAME] [--from N] [--to N] [--step N] [--flightrec DIR]"
+        "usage: repro [table1|fig3|fig4|fig5|fig6|validation|styles|overhead|ablation|coding|dpm|sweep|record|replay|telemetry|events|query|trace|analyze|serve|serve-probe|loadgen|baseline record|baseline compare|all] [--cycles N] [--seed S] [--jobs N] [--variants N] [--telemetry] [--script FILE] [--top N] [--ring-capacity N] [--addr HOST:PORT] [--mix paper|soc|mixed] [--slices N] [--slice-cycles N] [--shards N] [--http-threads N] [--max-connections N] [--concurrency N] [--duration-s S] [--min-rps N] [--inject block:factor[@slice]] [--expect-mismatch] [--deep] [--mutate ring-torn|ordering-relaxed|arbiter-double-grant] [--out FILE] [--file FILE] [--tolerance-pct N] [--series NAME] [--from N] [--to N] [--step N] [--flightrec DIR]"
     );
     std::process::exit(2);
 }
@@ -1221,42 +1217,6 @@ fn export_telemetry(r: &mut PaperRun) {
     println!("-> results/telemetry.jsonl, results/telemetry.csv, results/telemetry.prom\n");
 }
 
-/// One seed's worth of the threaded telemetry sweep: the summary numbers
-/// a telemetered run boils down to, in a plain `Send` shape so
-/// [`SweepRunner`] threads can return it (the bus itself is not `Send`).
-struct SeedSummary {
-    seed: u64,
-    utilization: f64,
-    handovers: u64,
-    arb_latency_mean: f64,
-    total_energy: f64,
-}
-
-/// Runs telemetered paper-testbench experiments for `n_seeds` consecutive
-/// seeds starting at `base_seed`, sharded over `jobs` threads. Results are
-/// in seed order regardless of the job count.
-fn telemetry_seed_sweep(
-    cycles: u64,
-    base_seed: u64,
-    n_seeds: u64,
-    jobs: usize,
-) -> Vec<SeedSummary> {
-    let seeds: Vec<u64> = (0..n_seeds).map(|i| base_seed + i).collect();
-    SweepRunner::new(jobs).run(&seeds, |_, &seed| {
-        let mut r = run_paper_experiment_telemetered(cycles, seed);
-        let total_energy = r.session.total_energy();
-        let t = r.session.finish_telemetry().expect("telemetry enabled");
-        let perf = t.perf();
-        SeedSummary {
-            seed,
-            utilization: perf.utilization(),
-            handovers: perf.handovers(),
-            arb_latency_mean: perf.arbitration_latency().mean(),
-            total_energy,
-        }
-    })
-}
-
 /// The telemetry showcase: an enabled run (bus-performance analyzers +
 /// observer spans + power ledgers) plus a kernel-hosted profiling pass so
 /// the `sim_*` span metrics are populated too, plus a `--jobs`-wide
@@ -1300,82 +1260,23 @@ fn telemetry_run(cycles: u64, seed: u64, jobs: usize) {
 
     let sweep_cycles = cycles.min(100_000);
     println!("seed sweep ({sweep_cycles} cycles each, {jobs} jobs):");
-    for s in telemetry_seed_sweep(sweep_cycles, seed, SWEEP_SEEDS as u64, jobs) {
-        println!(
-            "  seed {:>6}: utilization {:>5.1}%, {:>5} handovers, arb latency {:.2} cycles, {:.3} uJ",
-            s.seed,
-            s.utilization * 100.0,
-            s.handovers,
-            s.arb_latency_mean,
-            s.total_energy * 1e6
-        );
+    // Each thread returns its seed's printed line: the bus is not `Send`.
+    let seeds: Vec<u64> = (0..SWEEP_SEEDS as u64).map(|i| seed + i).collect();
+    let lines = SweepRunner::new(jobs).run(&seeds, |_, &seed| {
+        let mut r = run_paper_experiment_telemetered(sweep_cycles, seed);
+        let uj = r.session.total_energy() * 1e6;
+        let perf = r.session.finish_telemetry().expect("telemetry enabled").perf();
+        format!(
+            "  seed {seed:>6}: utilization {:>5.1}%, {:>5} handovers, arb latency {:.2} cycles, {uj:.3} uJ",
+            perf.utilization() * 100.0,
+            perf.handovers(),
+            perf.arbitration_latency().mean(),
+        )
+    });
+    for line in lines {
+        println!("{line}");
     }
     println!();
-}
-
-/// Measures what telemetry costs: functional-only vs power session with
-/// telemetry disabled (the default) vs enabled, and how the threaded
-/// seed sweep scales with `--jobs`. Writes `BENCH_telemetry.json`.
-fn telemetry_overhead(cycles: u64, seed: u64, jobs: usize) {
-    println!("== Telemetry overhead over {cycles} cycles ==");
-    let cfg = AnalysisConfig::paper_testbench();
-    let mut bus = build_paper_bus(cycles, seed);
-    let t0 = Instant::now();
-    bus.run(cycles);
-    let functional = t0.elapsed().as_secs_f64();
-
-    let mut bus = build_paper_bus(cycles, seed);
-    let mut session = PowerSession::with_telemetry(&cfg, TelemetryConfig::default());
-    let t0 = Instant::now();
-    session.run(&mut bus, cycles);
-    let disabled = t0.elapsed().as_secs_f64();
-
-    let mut bus = build_paper_bus(cycles, seed);
-    let tcfg = TelemetryConfig::enabled(PaperTestbench::LABEL).with_seed(seed);
-    let mut session = PowerSession::with_telemetry(&cfg, tcfg);
-    let t0 = Instant::now();
-    session.run(&mut bus, cycles);
-    let enabled = t0.elapsed().as_secs_f64();
-    session.finish_telemetry();
-
-    let enabled_pct = (enabled / disabled - 1.0) * 100.0;
-    println!("functional only:      {functional:.4} s");
-    println!(
-        "power session (telemetry off): {disabled:.4} s ({:.2}x functional)",
-        disabled / functional
-    );
-    println!("power session (telemetry on):  {enabled:.4} s ({enabled_pct:+.1}% vs off)");
-
-    // The threaded seed sweep: serial baseline vs `--jobs` workers over
-    // the same four telemetered runs.
-    let sweep_cycles = cycles.min(200_000);
-    let t0 = Instant::now();
-    let serial = telemetry_seed_sweep(sweep_cycles, seed, SWEEP_SEEDS as u64, 1);
-    let sweep_serial = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let threaded = telemetry_seed_sweep(sweep_cycles, seed, SWEEP_SEEDS as u64, jobs);
-    let sweep_jobs = t0.elapsed().as_secs_f64();
-    for (s, p) in serial.iter().zip(&threaded) {
-        assert_eq!(
-            s.total_energy.to_bits(),
-            p.total_energy.to_bits(),
-            "seed {} diverged across job counts",
-            s.seed
-        );
-    }
-    println!(
-        "seed sweep ({} seeds x {sweep_cycles} cycles): {sweep_serial:.4} s serial, {sweep_jobs:.4} s with {jobs} jobs ({:.2}x)",
-        SWEEP_SEEDS,
-        sweep_serial / sweep_jobs
-    );
-    let json = format!(
-        "{{\n  \"cycles\": {cycles},\n  \"seed\": {seed},\n  \"jobs\": {jobs},\n  \"functional_s\": {functional:.6},\n  \"telemetry_disabled_s\": {disabled:.6},\n  \"telemetry_enabled_s\": {enabled:.6},\n  \"instrumentation_ratio\": {:.4},\n  \"enabled_overhead_pct\": {enabled_pct:.2},\n  \"seed_sweep_seeds\": {},\n  \"seed_sweep_cycles\": {sweep_cycles},\n  \"seed_sweep_serial_s\": {sweep_serial:.6},\n  \"seed_sweep_jobs_s\": {sweep_jobs:.6},\n  \"seed_sweep_speedup\": {:.4}\n}}\n",
-        disabled / functional,
-        SWEEP_SEEDS,
-        sweep_serial / sweep_jobs
-    );
-    fs::write("BENCH_telemetry.json", json).expect("write BENCH_telemetry.json");
-    println!("-> BENCH_telemetry.json\n");
 }
 
 /// `repro events`: a sliced offline run with the structured event bus
@@ -1514,195 +1415,6 @@ fn events_cmd(cycles: u64, seed: u64, slice_cycles: u64, inject: Option<&str>) {
     );
     if failures > 0 {
         eprintln!("events: {failures} check(s) failed");
-        std::process::exit(1);
-    }
-}
-
-/// Timing repetitions per variant in `events-overhead` (fastest wins).
-const OVERHEAD_REPS: usize = 25;
-
-/// Median of a non-empty sample, sorting in place.
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("timing ratios are finite"));
-    let mid = xs.len() / 2;
-    if xs.len() % 2 == 1 {
-        xs[mid]
-    } else {
-        (xs[mid - 1] + xs[mid]) / 2.0
-    }
-}
-
-/// `repro events-overhead`: what the structured event ring costs. Runs
-/// the same telemetered workload three ways — no tap attached, tap
-/// attached with the ring disabled (the cold-atomic path), and fully
-/// enabled — then reports ns/cycle, the deltas, and the enabled ring's
-/// publish rate. Each variant runs [`OVERHEAD_REPS`] times round-robin;
-/// ns/cycle figures keep the fastest pass (the standard noise-robust
-/// estimator for deterministic workloads), while the overhead
-/// percentages are the median of per-round ratios: the three variants
-/// of one round run back-to-back inside the same stretch of machine
-/// time, so slow-host noise cancels in the ratio instead of biasing
-/// whichever variant's minimum landed in a quiet window. Writes
-/// `BENCH_events.json`.
-fn events_overhead(cycles: u64, seed: u64) {
-    use ahbpower::telemetry::{AnomalyConfig, EventBus, DEFAULT_EVENT_CAPACITY};
-    use std::sync::Arc;
-
-    println!(
-        "== Event-bus overhead over {cycles} cycles ({OVERHEAD_REPS} reps; ns/cycle = min, % = median per-round ratio) =="
-    );
-    let acfg = AnalysisConfig::paper_testbench();
-    let label = PaperTestbench::LABEL;
-
-    // All three variants carry the anomaly detector, like every real
-    // event-ring deployment (serve, `repro events`): without it the tap
-    // falls back to its own per-cycle window accounting and the bench
-    // would charge the ring for work the product config never does.
-    let anomaly = || AnomalyConfig::default().with_warmup_windows(4);
-    let run_no_tap = || {
-        let mut bus = build_paper_bus(cycles, seed);
-        let tcfg = TelemetryConfig::enabled(label)
-            .with_seed(seed)
-            .with_anomaly(anomaly());
-        let mut session = PowerSession::with_telemetry(&acfg, tcfg);
-        let t0 = Instant::now();
-        session.run(&mut bus, cycles);
-        t0.elapsed().as_secs_f64()
-    };
-    let run_with_ring = |enabled: bool| {
-        let ring = EventBus::shared(DEFAULT_EVENT_CAPACITY);
-        ring.set_enabled(enabled);
-        let mut bus = build_paper_bus(cycles, seed);
-        let tcfg = TelemetryConfig::enabled(label)
-            .with_seed(seed)
-            .with_anomaly(anomaly())
-            .with_events(Arc::clone(&ring));
-        let mut session = PowerSession::with_telemetry(&acfg, tcfg);
-        let t0 = Instant::now();
-        session.begin_slice(0);
-        session.run(&mut bus, cycles);
-        session.end_slice();
-        (t0.elapsed().as_secs_f64(), ring.published())
-    };
-
-    // Round-robin the variants so a slow stretch of machine time hits
-    // all three roughly equally instead of biasing one delta.
-    let mut no_tap = f64::INFINITY;
-    let mut disabled = f64::INFINITY;
-    let mut enabled = f64::INFINITY;
-    let mut disabled_ratios = Vec::with_capacity(OVERHEAD_REPS);
-    let mut enabled_ratios = Vec::with_capacity(OVERHEAD_REPS);
-    let mut published = 0u64;
-    for _ in 0..OVERHEAD_REPS {
-        let t_no = run_no_tap();
-        let (t_dis, _) = run_with_ring(false);
-        let (t_en, p) = run_with_ring(true);
-        no_tap = no_tap.min(t_no);
-        disabled = disabled.min(t_dis);
-        enabled = enabled.min(t_en);
-        disabled_ratios.push(t_dis / t_no);
-        enabled_ratios.push(t_en / t_no);
-        published = p;
-    }
-
-    let no_tap_ns = no_tap * 1e9 / cycles as f64;
-    let disabled_ns = disabled * 1e9 / cycles as f64;
-    let enabled_ns = enabled * 1e9 / cycles as f64;
-    let disabled_pct = (median(&mut disabled_ratios) - 1.0) * 100.0;
-    let enabled_pct = (median(&mut enabled_ratios) - 1.0) * 100.0;
-    let events_per_sec = published as f64 / enabled;
-    println!("no event tap:        {no_tap_ns:>7.2} ns/cycle");
-    println!("tap, ring disabled:  {disabled_ns:>7.2} ns/cycle ({disabled_pct:+.2}%)");
-    println!(
-        "tap, ring enabled:   {enabled_ns:>7.2} ns/cycle ({enabled_pct:+.2}%), {published} events ({:.2} Mevents/s)",
-        events_per_sec / 1e6
-    );
-    let json = format!(
-        "{{\n  \"cycles\": {cycles},\n  \"seed\": {seed},\n  \"reps\": {OVERHEAD_REPS},\n  \"no_tap_ns_per_cycle\": {no_tap_ns:.4},\n  \"disabled_ns_per_cycle\": {disabled_ns:.4},\n  \"enabled_ns_per_cycle\": {enabled_ns:.4},\n  \"disabled_overhead_pct\": {disabled_pct:.3},\n  \"enabled_overhead_pct\": {enabled_pct:.3},\n  \"events_published\": {published},\n  \"events_per_sec\": {events_per_sec:.0}\n}}\n",
-    );
-    fs::write("BENCH_events.json", json).expect("write BENCH_events.json");
-    println!("-> BENCH_events.json\n");
-}
-
-/// What `observatory-overhead` allows the store to cost before the
-/// command exits 1 — the budget stamped into `BENCH_observatory.json`.
-const OBSERVATORY_CEILING_PCT: f64 = 5.0;
-
-/// `repro observatory-overhead`: what the multi-resolution power
-/// observatory costs. Runs the same telemetered workload (anomaly
-/// detector attached, like every serve deployment) two ways — without
-/// and with the observatory ingesting every window into its three
-/// retention levels — then reports ns/cycle and the overhead against
-/// the [`OBSERVATORY_CEILING_PCT`] budget. Same noise protocol as
-/// `events-overhead`: [`OVERHEAD_REPS`] reps round-robin, minima for
-/// ns/cycle, median per-round ratio for the percentage. Writes
-/// `BENCH_observatory.json`; exits 1 when the ceiling is blown.
-fn observatory_overhead(cycles: u64, seed: u64) {
-    use ahbpower::telemetry::{AnomalyConfig, ObservatoryConfig};
-
-    println!(
-        "== Observatory overhead over {cycles} cycles ({OVERHEAD_REPS} reps; ns/cycle = min, % = median per-round ratio) =="
-    );
-    let acfg = AnalysisConfig::paper_testbench();
-    let label = PaperTestbench::LABEL;
-    let anomaly = || AnomalyConfig::default().with_warmup_windows(4);
-    let run_base = || {
-        let mut bus = build_paper_bus(cycles, seed);
-        let tcfg = TelemetryConfig::enabled(label)
-            .with_seed(seed)
-            .with_anomaly(anomaly());
-        let mut session = PowerSession::with_telemetry(&acfg, tcfg);
-        let t0 = Instant::now();
-        session.run(&mut bus, cycles);
-        t0.elapsed().as_secs_f64()
-    };
-    let run_obs = || {
-        let mut bus = build_paper_bus(cycles, seed);
-        let tcfg = TelemetryConfig::enabled(label)
-            .with_seed(seed)
-            .with_anomaly(anomaly())
-            .with_observatory(ObservatoryConfig::default());
-        let mut session = PowerSession::with_telemetry(&acfg, tcfg);
-        let t0 = Instant::now();
-        session.run(&mut bus, cycles);
-        let elapsed = t0.elapsed().as_secs_f64();
-        let windows = session
-            .telemetry()
-            .and_then(|t| t.observatory())
-            .map_or(0, |o| o.windows_ingested());
-        (elapsed, windows)
-    };
-
-    let mut base = f64::INFINITY;
-    let mut obs = f64::INFINITY;
-    let mut ratios = Vec::with_capacity(OVERHEAD_REPS);
-    let mut windows = 0u64;
-    for _ in 0..OVERHEAD_REPS {
-        let t_base = run_base();
-        let (t_obs, w) = run_obs();
-        base = base.min(t_base);
-        obs = obs.min(t_obs);
-        ratios.push(t_obs / t_base);
-        windows = w;
-    }
-    let base_ns = base * 1e9 / cycles as f64;
-    let obs_ns = obs * 1e9 / cycles as f64;
-    let overhead_pct = (median(&mut ratios) - 1.0) * 100.0;
-    let within = overhead_pct <= OBSERVATORY_CEILING_PCT;
-    println!("anomaly only:          {base_ns:>7.2} ns/cycle");
-    println!(
-        "anomaly + observatory: {obs_ns:>7.2} ns/cycle ({overhead_pct:+.2}%), {windows} windows ingested"
-    );
-    println!(
-        "ceiling: {OBSERVATORY_CEILING_PCT:.1}% -> {}",
-        if within { "within budget" } else { "EXCEEDED" }
-    );
-    let json = format!(
-        "{{\n  \"cycles\": {cycles},\n  \"seed\": {seed},\n  \"reps\": {OVERHEAD_REPS},\n  \"baseline_ns_per_cycle\": {base_ns:.4},\n  \"observatory_ns_per_cycle\": {obs_ns:.4},\n  \"overhead_pct\": {overhead_pct:.3},\n  \"ceiling_pct\": {OBSERVATORY_CEILING_PCT:.1},\n  \"within_ceiling\": {within},\n  \"windows_ingested\": {windows}\n}}\n"
-    );
-    fs::write("BENCH_observatory.json", json).expect("write BENCH_observatory.json");
-    println!("-> BENCH_observatory.json\n");
-    if !within {
         std::process::exit(1);
     }
 }
@@ -1930,46 +1642,216 @@ fn styles(cycles: u64, seed: u64, jobs: usize) {
     println!("-> results/probe_styles.csv\n");
 }
 
-fn overhead(cycles: u64, seed: u64) {
-    println!("== Sec 6: simulation-time overhead of power analysis ==");
-    // Functional-only run.
-    let mut bus = build_paper_bus(cycles, seed);
-    let t0 = Instant::now();
-    bus.run(cycles);
-    let functional = t0.elapsed();
-    // Instrumented run (fresh bus, same traffic).
-    let cfg = AnalysisConfig::paper_testbench();
-    let mut bus = build_paper_bus(cycles, seed);
-    let mut session = PowerSession::new(&cfg);
-    let t0 = Instant::now();
-    session.run(&mut bus, cycles);
-    let instrumented = t0.elapsed();
-    let ratio = instrumented.as_secs_f64() / functional.as_secs_f64();
-    println!("functional:   {functional:.2?}  ({cycles} cycles)");
-    println!("instrumented: {instrumented:.2?}");
-    println!("ratio: {ratio:.2}x (paper reports ~2x for its SystemC setup)");
-    fs::write(
-        "results/overhead.csv",
-        format!(
-            "cycles,functional_s,instrumented_s,ratio\n{cycles},{:.6},{:.6},{ratio:.4}\n",
-            functional.as_secs_f64(),
-            instrumented.as_secs_f64()
-        ),
-    )
-    .expect("write results/overhead.csv");
-    println!("-> results/overhead.csv\n");
+/// The overhead ladder, `(name, parent, budget_pct)` with each parent
+/// before its children. `power` over `functional` is the paper's Sec 6
+/// ratio (E6); `telemetry` carries the 35% budget of the CI gate,
+/// `observatory` the retention store's 5% ceiling (E19).
+const RUNGS: [(&str, Option<&str>, Option<f64>); 8] = [
+    ("functional", None, None),
+    ("power", Some("functional"), None),
+    ("telemetry", Some("power"), Some(35.0)),
+    ("anomaly", Some("telemetry"), None),
+    ("events_off", Some("anomaly"), None),
+    ("events", Some("anomaly"), None),
+    ("observatory", Some("anomaly"), Some(5.0)),
+    ("record", Some("power"), None),
+];
+
+/// Round-robin repetitions of the whole ladder in `overhead`.
+const OVERHEAD_REPS: usize = 25;
+
+fn rung_index(name: &str) -> usize {
+    RUNGS
+        .iter()
+        .position(|r| r.0 == name)
+        .expect("every parent names a rung")
 }
 
-/// Cycles a sweep actually simulates: each point runs its bus for `cycles`,
-/// and FSM-style points add a half-length calibration run.
-fn simulated_cycles(points: &[SweepPoint]) -> u64 {
-    points
-        .iter()
-        .map(|p| match p.style {
-            ProbeStyle::Fsm => p.cycles + p.cycles / 2,
-            _ => p.cycles,
-        })
-        .sum()
+/// Median of a non-empty sample, sorting in place.
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("timing ratios are finite"));
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    }
+}
+
+/// One timed pass of one rung: seconds, the booked total (`None` for
+/// `functional`) and the encoded trace size (`None` unless it records).
+type RungPass = (f64, Option<f64>, Option<usize>);
+
+/// Builds `rung`'s session and a fresh paper-testbench bus, then times
+/// `cycles` cycles. The ring and observatory rungs carry the anomaly
+/// detector, as every deployment of them does: without it the event tap
+/// keeps its own per-cycle window accounting, which no real
+/// configuration does.
+fn time_rung(rung: &str, cycles: u64, seed: u64) -> RungPass {
+    use ahbpower::telemetry::{AnomalyConfig, EventBus, ObservatoryConfig, DEFAULT_EVENT_CAPACITY};
+    let acfg = AnalysisConfig::paper_testbench();
+    let telemetry = || TelemetryConfig::enabled(PaperTestbench::LABEL).with_seed(seed);
+    let anomaly = || telemetry().with_anomaly(AnomalyConfig::default().with_warmup_windows(4));
+    let session = match rung {
+        "functional" => None,
+        "power" => Some(PowerSession::new(&acfg)),
+        "telemetry" => Some(PowerSession::with_telemetry(&acfg, telemetry())),
+        "anomaly" => Some(PowerSession::with_telemetry(&acfg, anomaly())),
+        "events_off" | "events" => {
+            let ring = EventBus::shared(DEFAULT_EVENT_CAPACITY);
+            ring.set_enabled(rung == "events");
+            Some(PowerSession::with_telemetry(
+                &acfg,
+                anomaly().with_events(ring),
+            ))
+        }
+        "observatory" => {
+            let tcfg = anomaly().with_observatory(ObservatoryConfig::default());
+            Some(PowerSession::with_telemetry(&acfg, tcfg))
+        }
+        "record" => Some(PowerSession::with_recorder(&acfg)),
+        other => unreachable!("no rung named {other}"),
+    };
+    let mut bus = build_paper_bus(cycles, seed);
+    let t0 = Instant::now();
+    let Some(mut s) = session else {
+        bus.run(cycles);
+        return (t0.elapsed().as_secs_f64(), None, None);
+    };
+    s.begin_slice(0);
+    s.run(&mut bus, cycles);
+    s.end_slice();
+    let secs = t0.elapsed().as_secs_f64();
+    let trace_bytes = s.finish_recorder().map(|t| t.to_bytes().len());
+    (secs, Some(s.total_energy()), trace_bytes)
+}
+
+/// One rung's result over all reps: its fastest pass (the noise-robust
+/// estimator for a deterministic run) and the median per-round ratio
+/// over its parent. The rungs of one round run back to back, so a slow
+/// stretch of machine time cancels in the ratio instead of biasing
+/// whichever minimum landed in a quiet window.
+struct RungRow {
+    name: &'static str,
+    parent: Option<&'static str>,
+    budget_pct: Option<f64>,
+    ns_per_cycle: f64,
+    ratio: Option<f64>,
+    overhead_pct: Option<f64>,
+    energy_j: Option<f64>,
+    trace_bytes_per_cycle: Option<f64>,
+}
+
+/// Reduces `rounds[rep][rung]` (rungs in [`RUNGS`] order) to one row
+/// per rung.
+fn ladder_rows(cycles: u64, rounds: &[Vec<RungPass>]) -> Vec<RungRow> {
+    let secs = |i: usize| rounds.iter().map(move |r| r[i].0);
+    let mut rows = Vec::new();
+    for (i, &(name, parent, budget_pct)) in RUNGS.iter().enumerate() {
+        let ratio = parent.map(|p| {
+            let ratios = secs(i).zip(secs(rung_index(p))).map(|(a, b)| a / b);
+            median(&mut ratios.collect::<Vec<_>>())
+        });
+        let (_, energy_j, trace_bytes) = rounds[0][i];
+        rows.push(RungRow {
+            name,
+            parent,
+            budget_pct,
+            ns_per_cycle: secs(i).fold(f64::INFINITY, f64::min) * 1e9 / cycles as f64,
+            ratio,
+            overhead_pct: ratio.map(|r| (r - 1.0) * 100.0),
+            energy_j,
+            trace_bytes_per_cycle: trace_bytes.map(|b| b as f64 / cycles as f64),
+        });
+    }
+    rows
+}
+
+/// Why `overhead` must exit 1: a rung that books other energy than
+/// `power` (every tap is an observer), or a rung over its budget.
+fn ladder_failures(rows: &[RungRow]) -> Vec<String> {
+    let power = rows[rung_index("power")].energy_j;
+    let mut failures = Vec::new();
+    for r in rows {
+        if let (Some(e), Some(p)) = (r.energy_j, power) {
+            if e.to_bits() != p.to_bits() {
+                failures.push(format!("{} booked {e:.17e} J, power {p:.17e} J", r.name));
+            }
+        }
+        if let (Some(budget), Some(pct)) = (r.budget_pct, r.overhead_pct) {
+            if pct.is_nan() || pct > budget {
+                failures.push(format!("{} costs {pct:+.1}% (budget {budget}%)", r.name));
+            }
+        }
+    }
+    failures
+}
+
+/// `BENCH_overhead.json`: one object per rung, `null` where a field does
+/// not apply to it.
+fn ladder_json(cycles: u64, seed: u64, cores: usize, rows: &[RungRow]) -> String {
+    use ahbpower::telemetry::json_num;
+    let num = |v: Option<f64>| v.map_or_else(|| "null".to_string(), json_num);
+    let rungs: Vec<String> = rows.iter().map(|r| {
+        format!(
+            "    {{\"name\": \"{}\", \"parent\": {}, \"budget_pct\": {}, \"ns_per_cycle\": {}, \"ratio\": {}, \"overhead_pct\": {}, \"energy_j\": {}, \"trace_bytes_per_cycle\": {}}}",
+            r.name,
+            r.parent.map_or_else(|| "null".to_string(), |p| format!("\"{p}\"")),
+            num(r.budget_pct),
+            json_num(r.ns_per_cycle),
+            num(r.ratio),
+            num(r.overhead_pct),
+            num(r.energy_j),
+            num(r.trace_bytes_per_cycle),
+        )
+    }).collect();
+    format!(
+        "{{\n  \"cycles\": {cycles},\n  \"seed\": {seed},\n  \"reps\": {OVERHEAD_REPS},\n  \"host\": {{\"cores\": {cores}}},\n  \"rungs\": [\n{}\n  ]\n}}\n",
+        rungs.join(",\n")
+    )
+}
+
+/// `repro overhead`: what each layer of the power-analysis stack costs
+/// (paper Sec 6). Times every [`RUNGS`] session [`OVERHEAD_REPS`] times
+/// round-robin, prints the ladder and writes `BENCH_overhead.json`;
+/// exits 1 when a rung's energy differs from `power`'s or a budget is
+/// blown.
+fn overhead(cycles: u64, seed: u64) {
+    println!("== Overhead ladder over {cycles} cycles, seed {seed} ({OVERHEAD_REPS} reps; ns/cycle = min, ratio = median per-round vs parent) ==");
+    let rounds: Vec<Vec<RungPass>> = (0..OVERHEAD_REPS)
+        .map(|_| RUNGS.iter().map(|r| time_rung(r.0, cycles, seed)).collect())
+        .collect();
+    let rows = ladder_rows(cycles, &rounds);
+    let dash = |v: Option<String>| v.unwrap_or_else(|| "-".to_string());
+    println!("rung         parent       ns/cycle    ratio  overhead  budget");
+    for r in &rows {
+        println!(
+            "{:<12} {:<12} {:>8.2} {:>8} {:>9} {:>7}{}",
+            r.name,
+            r.parent.unwrap_or("-"),
+            r.ns_per_cycle,
+            dash(r.ratio.map(|x| format!("{x:.3}x"))),
+            dash(r.overhead_pct.map(|p| format!("{p:+.1}%"))),
+            dash(r.budget_pct.map(|b| format!("{b}%"))),
+            r.trace_bytes_per_cycle
+                .map_or_else(String::new, |b| format!("  trace {b:.2} B/cycle")),
+        );
+    }
+    let json = ladder_json(cycles, seed, available_jobs(), &rows);
+    if let Err(e) = validate_json(&json) {
+        eprintln!("overhead: BENCH_overhead.json is not valid JSON: {e}");
+        std::process::exit(1);
+    }
+    fs::write("BENCH_overhead.json", json).expect("write BENCH_overhead.json");
+    let failures = ladder_failures(&rows);
+    for f in &failures {
+        println!("overhead: {f}");
+    }
+    if !failures.is_empty() {
+        println!("verdict: FAILED\n-> BENCH_overhead.json\n");
+        std::process::exit(1);
+    }
+    println!("verdict: ok (every budget met, every rung books power's energy bit for bit)\n-> BENCH_overhead.json\n");
 }
 
 /// The standard seed×style sweep: prints the merged report and writes
@@ -1980,82 +1862,10 @@ fn sweep(cycles: u64, seed: u64, jobs: usize) {
         "== Sweep: {SWEEP_SEEDS} seeds x {} styles, {cycles} cycles each, {jobs} jobs ==",
         points.len() / SWEEP_SEEDS
     );
-    let t0 = Instant::now();
     let outcomes = run_sweep(&points, jobs);
-    let elapsed = t0.elapsed();
     print!("{}", sweep_report(&outcomes));
-    println!(
-        "({} points in {elapsed:.2?}, {:.1} Mcycles/s aggregate)",
-        points.len(),
-        simulated_cycles(&points) as f64 / 1e6 / elapsed.as_secs_f64()
-    );
     fs::write("results/sweep.csv", sweep_csv(&outcomes)).expect("write results/sweep.csv");
     println!("-> results/sweep.csv\n");
-}
-
-/// Times the same sweep at every power-of-two job count up to
-/// `max(jobs, available_jobs())`, checks every output is byte-identical
-/// to the serial run, and writes `BENCH_sweep.json`. Timing each job
-/// count separately (instead of one serial-vs-parallel pair) makes a
-/// core-starved box self-evident: on a 1-core runner the ladder is just
-/// `[1]` and any serial-vs-parallel delta is pure noise (see
-/// EXPERIMENTS.md E13).
-fn sweep_bench(cycles: u64, seed: u64, jobs: usize) {
-    let points = sweep_grid(cycles, seed, SWEEP_SEEDS);
-    let total_cycles = simulated_cycles(&points);
-    let max_jobs = jobs.max(available_jobs());
-    let mut ladder = vec![1usize];
-    let mut j = 2;
-    while j < max_jobs {
-        ladder.push(j);
-        j *= 2;
-    }
-    if max_jobs > 1 {
-        ladder.push(max_jobs);
-    }
-    println!(
-        "== Sweep bench: {} points x {cycles} cycles, job counts {ladder:?} ==",
-        points.len()
-    );
-    let t0 = Instant::now();
-    let serial = run_sweep(&points, 1);
-    let serial_s = t0.elapsed().as_secs_f64();
-    let serial_csv = sweep_csv(&serial);
-    let mut rows = vec![(1usize, serial_s)];
-    for &j in &ladder[1..] {
-        let t0 = Instant::now();
-        let outcomes = run_sweep(&points, j);
-        let elapsed = t0.elapsed().as_secs_f64();
-        assert!(
-            sweep_csv(&outcomes) == serial_csv,
-            "{j}-job sweep diverged from serial"
-        );
-        rows.push((j, elapsed));
-    }
-    let mut per_jobs = String::new();
-    for (i, &(j, s)) in rows.iter().enumerate() {
-        let ns = s * 1e9 / total_cycles as f64;
-        let speedup = serial_s / s;
-        println!("{j:>3} job(s): {s:.3} s  ({ns:.1} ns/cycle, {speedup:.2}x vs serial)");
-        if i > 0 {
-            per_jobs.push_str(",\n");
-        }
-        per_jobs.push_str(&format!(
-            "    {{\"jobs\": {j}, \"seconds\": {s:.6}, \"ns_per_cycle\": {ns:.2}, \"speedup\": {speedup:.4}}}"
-        ));
-    }
-    let &(best_jobs, parallel_s) = rows.last().expect("ladder is non-empty");
-    let speedup = serial_s / parallel_s;
-    let serial_ns = serial_s * 1e9 / total_cycles as f64;
-    let parallel_ns = parallel_s * 1e9 / total_cycles as f64;
-    println!("outputs byte-identical across all job counts: true");
-    let json = format!(
-        "{{\n  \"cycles_per_point\": {cycles},\n  \"points\": {},\n  \"simulated_cycles\": {total_cycles},\n  \"seed\": {seed},\n  \"jobs\": {best_jobs},\n  \"available_cores\": {},\n  \"serial_s\": {serial_s:.6},\n  \"parallel_s\": {parallel_s:.6},\n  \"speedup\": {speedup:.4},\n  \"serial_ns_per_cycle\": {serial_ns:.2},\n  \"parallel_ns_per_cycle\": {parallel_ns:.2},\n  \"outputs_identical\": true,\n  \"per_job_count\": [\n{per_jobs}\n  ]\n}}\n",
-        points.len(),
-        available_jobs()
-    );
-    fs::write("BENCH_sweep.json", json).expect("write BENCH_sweep.json");
-    println!("-> BENCH_sweep.json\n");
 }
 
 /// `repro record`: runs the paper testbench once with the activity
@@ -2067,15 +1877,12 @@ fn record_cmd(cycles: u64, seed: u64, out: Option<&str>) {
     use ahbpower::{ActivityTrace, ReplayEngine};
     let path = out.unwrap_or("results/replay_trace.bin");
     println!("== Record: activity trace over {cycles} cycles ==");
-    let t0 = Instant::now();
     let (run, trace) = run_paper_experiment_recorded(cycles, seed);
-    let elapsed = t0.elapsed();
     let bytes = trace.to_bytes();
     fs::write(path, &bytes).expect("write activity trace");
     println!(
-        "recorded {} cycles in {elapsed:.2?} ({:.1} Mcycles/s), {} bytes ({:.2} B/cycle)",
+        "recorded {} cycles, {} bytes ({:.2} B/cycle)",
         trace.cycles(),
-        cycles as f64 / 1e6 / elapsed.as_secs_f64(),
         bytes.len(),
         bytes.len() as f64 / cycles as f64
     );
@@ -2155,15 +1962,7 @@ fn replay_cmd(
             inj.block, inj.factor
         );
     }
-    let t0 = Instant::now();
     let outcomes = replay_sweep(&trace, &models, jobs);
-    let elapsed = t0.elapsed().as_secs_f64();
-    let replayed = trace.cycles() * variants as u64;
-    println!(
-        "replayed {replayed} cycle-evaluations in {:.2?} ({:.1} Mcycles/s)",
-        t0.elapsed(),
-        replayed as f64 / 1e6 / elapsed
-    );
     let mut jsonl = String::new();
     for (k, o) in outcomes.iter().enumerate() {
         let (block, factor) = match replay_variant_spec(k) {
@@ -2216,99 +2015,6 @@ fn replay_cmd(
             std::process::exit(1);
         }
     }
-}
-
-/// `repro replay-bench`: the trace-once / estimate-many numbers. Times
-/// the plain instrumented simulation, the same run with the recorder
-/// attached (record overhead), the branchless replay hot loop
-/// (throughput), and a full `--variants`-wide coefficient sweep done
-/// both ways — re-simulating vs replaying — then writes
-/// `BENCH_replay.json`.
-fn replay_bench(cycles: u64, seed: u64, variants: usize, jobs: usize) {
-    use ahbpower::{ReplayEngine, ReplayOutcome};
-    println!("== Replay bench: {cycles} cycles, {variants} variants, {jobs} jobs ==");
-    let cfg = AnalysisConfig::paper_testbench();
-
-    // Plain instrumented simulation (the baseline everything compares to).
-    let mut bus = build_paper_bus(cycles, seed);
-    let mut session = PowerSession::new(&cfg);
-    let t0 = Instant::now();
-    session.run(&mut bus, cycles);
-    let sim_s = t0.elapsed().as_secs_f64();
-    let live_total = session.total_energy();
-
-    // Same run with the recorder tap attached (bus built outside the
-    // timed region, symmetric with the baseline leg).
-    let mut bus = build_paper_bus(cycles, seed);
-    let mut recording = PowerSession::with_recorder(&cfg);
-    let t0 = Instant::now();
-    recording.run(&mut bus, cycles);
-    let record_s = t0.elapsed().as_secs_f64();
-    let record_pct = (record_s / sim_s - 1.0) * 100.0;
-    let trace = recording.finish_recorder().expect("recorder attached");
-    let trace_bytes = trace.to_bytes().len();
-
-    // Replay hot-loop throughput: windows-off outcome reused across
-    // reps, fastest pass wins (deterministic workload).
-    let engine = ReplayEngine::new(&replay_variant_model(&cfg, 0));
-    let mut out = ReplayOutcome::new();
-    engine.replay_into(&trace, &mut out); // warm-up fills the buffers
-    let mut replay_s = f64::INFINITY;
-    for _ in 0..7 {
-        let t0 = Instant::now();
-        engine.replay_into(&trace, &mut out);
-        replay_s = replay_s.min(t0.elapsed().as_secs_f64());
-    }
-    let golden_ok = out.total_energy().to_bits() == recording.total_energy().to_bits()
-        && (out.total_energy() - live_total).abs() <= 1e-9;
-    assert!(golden_ok, "replay diverged from the live ledger");
-    let replay_cps = cycles as f64 / replay_s;
-
-    // The sweep both ways: N fresh cycle-accurate simulations vs N
-    // replays of the one recorded trace, same job count for both legs.
-    let ks: Vec<usize> = (0..variants).collect();
-    let runner = SweepRunner::new(jobs);
-    let t0 = Instant::now();
-    let resim: Vec<f64> = runner.run(&ks, |_, &k| {
-        resimulate_variant(cycles, seed, k).total_energy()
-    });
-    let resim_s = t0.elapsed().as_secs_f64();
-    let models: Vec<_> = ks.iter().map(|&k| replay_variant_model(&cfg, k)).collect();
-    let t0 = Instant::now();
-    let replayed = replay_sweep(&trace, &models, jobs);
-    let sweep_replay_s = t0.elapsed().as_secs_f64();
-    for (k, (sim_e, rep)) in resim.iter().zip(&replayed).enumerate() {
-        assert_eq!(
-            sim_e.to_bits(),
-            rep.total_energy().to_bits(),
-            "variant {k}: replay != fresh simulation"
-        );
-    }
-    let speedup = resim_s / sweep_replay_s;
-
-    let sim_ns = sim_s * 1e9 / cycles as f64;
-    let record_ns = record_s * 1e9 / cycles as f64;
-    let replay_ns = replay_s * 1e9 / cycles as f64;
-    println!("simulate (instrumented): {sim_s:.4} s  ({sim_ns:.1} ns/cycle)");
-    println!(
-        "simulate + record:       {record_s:.4} s  ({record_ns:.1} ns/cycle, {record_pct:+.1}%)"
-    );
-    println!(
-        "replay (1 variant):      {replay_s:.6} s  ({replay_ns:.2} ns/cycle, {:.1} Mcycles/s)",
-        replay_cps / 1e6
-    );
-    println!(
-        "trace: {trace_bytes} bytes ({:.2} B/cycle)",
-        trace_bytes as f64 / cycles as f64
-    );
-    println!("{variants}-variant sweep: re-simulate {resim_s:.3} s vs replay {sweep_replay_s:.4} s -> {speedup:.1}x (all variants bit-identical)");
-    let json = format!(
-        "{{\n  \"cycles\": {cycles},\n  \"seed\": {seed},\n  \"variants\": {variants},\n  \"jobs\": {jobs},\n  \"available_cores\": {},\n  \"sim_ns_per_cycle\": {sim_ns:.2},\n  \"record_ns_per_cycle\": {record_ns:.2},\n  \"record_overhead_pct\": {record_pct:.2},\n  \"replay_ns_per_cycle\": {replay_ns:.4},\n  \"replay_cycles_per_sec\": {replay_cps:.0},\n  \"trace_bytes\": {trace_bytes},\n  \"trace_bytes_per_cycle\": {:.3},\n  \"resim_sweep_s\": {resim_s:.6},\n  \"replay_sweep_s\": {sweep_replay_s:.6},\n  \"sweep_speedup\": {speedup:.2},\n  \"golden_ok\": {golden_ok}\n}}\n",
-        available_jobs(),
-        trace_bytes as f64 / cycles as f64
-    );
-    fs::write("BENCH_replay.json", json).expect("write BENCH_replay.json");
-    println!("-> BENCH_replay.json\n");
 }
 
 /// Dynamic power management study: clock-gating the arbiter FSM after N
@@ -2521,4 +2227,44 @@ fn ablation(cycles: u64, seed: u64, jobs: usize) {
     }
     fs::write("results/ablation.csv", csv).expect("write results/ablation.csv");
     println!("-> results/ablation.csv\n");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ahbpower_bench::{parse_json, JsonValue};
+
+    #[test]
+    fn every_parent_comes_first_and_every_budget_has_a_parent() {
+        for (i, &(name, parent, budget)) in RUNGS.iter().enumerate() {
+            assert!(parent.is_none_or(|p| rung_index(p) < i), "{name}'s parent");
+            assert!(budget.is_none() || parent.is_some(), "{name} has no parent");
+        }
+    }
+
+    #[test]
+    fn rendered_ladder_validates_and_gates_energy_and_budgets() {
+        // Rung i takes 1 + i/100 s, books 1 J and records 400 bytes.
+        let pass = |i: usize| (1.0 + i as f64 / 100.0, (i > 0).then_some(1.0), Some(400));
+        let mut rounds: Vec<Vec<RungPass>> = vec![(0..RUNGS.len()).map(pass).collect(); 3];
+        let rows = ladder_rows(200, &rounds);
+        assert!(ladder_failures(&rows).is_empty());
+        let doc = parse_json(&ladder_json(200, 2003, 2, &rows)).expect("valid JSON");
+        let rungs = doc
+            .get("rungs")
+            .and_then(JsonValue::as_array)
+            .expect("rungs");
+        assert_eq!(rungs.len(), RUNGS.len());
+        for (r, &(_, parent, _)) in rungs.iter().zip(&RUNGS) {
+            let ratio = r.get("ratio").and_then(JsonValue::as_f64);
+            assert_eq!(ratio.is_some_and(f64::is_finite), parent.is_some());
+        }
+        // One ulp of energy drift in one tap fails the ladder; so does
+        // telemetry at twice power's time.
+        rounds[0][rung_index("record")].1 = Some(1.0f64.next_up());
+        for round in &mut rounds {
+            round[rung_index("telemetry")].0 = 2.0 * round[rung_index("power")].0;
+        }
+        assert_eq!(ladder_failures(&ladder_rows(200, &rounds)).len(), 2);
+    }
 }

@@ -1,8 +1,8 @@
 //! Record-once / estimate-many plumbing shared by `repro record`,
-//! `repro replay`, `repro replay-bench`, the serve self-calibration and
-//! the golden tests: a recorded paper-testbench run, the deterministic
-//! coefficient-variant grid a replay sweeps, and the [`SweepRunner`]
-//! fan-out over the replay engine itself.
+//! `repro replay`, the serve self-calibration and the golden tests: a
+//! recorded paper-testbench run, the deterministic coefficient-variant
+//! grid a replay sweeps, and the [`SweepRunner`] fan-out over the replay
+//! engine itself.
 
 use ahbpower::{
     ActivityTrace, AhbPowerModel, AnalysisConfig, PowerSession, ReplayEngine, ReplayOutcome,

@@ -378,10 +378,10 @@ impl<A: Atomics> GenericEventBus<A> {
     /// or `None` without touching the ring when the bus is disabled or
     /// the batch is empty. The `fetch_add` on the shared head is the one
     /// cross-core round trip in a publish; amortizing it over a batch is
-    /// what lets per-cycle emitters (≈ 0.7 completions/cycle on the
-    /// paper testbench) stay inside the events-overhead budget. A batch
-    /// longer than the ring capacity overwrites its own oldest entries,
-    /// exactly as the same events published one at a time would.
+    /// what keeps per-cycle emitters (≈ 0.7 completions/cycle on the
+    /// paper testbench) cheap on the `events` rung of `repro overhead`.
+    /// A batch longer than the ring capacity overwrites its own oldest
+    /// entries, exactly as the same events published one at a time would.
     #[inline]
     pub fn publish_batch(&self, events: &[Event]) -> Option<u64> {
         // relaxed: on/off gate only; event data never flows through it.
