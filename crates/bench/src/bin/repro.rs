@@ -103,7 +103,8 @@ use ahbpower_bench::{
     available_jobs, build_paper_bus, compare_probe_styles_parallel, replay_sweep,
     replay_variant_model, replay_variant_spec, run_paper_experiment, run_paper_experiment_recorded,
     run_paper_experiment_telemetered, run_paper_experiment_traced, run_soc_experiment_traced,
-    run_sweep, sweep_csv, sweep_grid, sweep_report, validate_json, PaperRun, SweepRunner,
+    run_sweep, sweep_csv, sweep_grid, sweep_report, validate_json, validate_prometheus, PaperRun,
+    SweepRunner,
 };
 use ahbpower_sim::SimTime;
 use ahbpower_workloads::PaperTestbench;
@@ -537,14 +538,16 @@ fn serve_cmd(
 /// `/events` (long-polling up to 5 s and requiring at least one
 /// `TxnComplete` when the ring is enabled) and `/query` (the power
 /// observatory, checking the step→resolution contract), validates each
-/// payload, optionally sends `GET /quit` afterwards, and exits 1 on any
-/// failure. With `--flightrec DIR`, waits for at least one JSON-valid
+/// payload (`/metrics` through [`validate_prometheus`]), optionally
+/// sends `GET /quit` afterwards, and exits 1 on any failure. With
+/// `--flightrec DIR`, waits for at least one JSON-valid
 /// flight-recorder bundle whose causal chain reaches `TxnComplete` —
 /// the end-to-end assertion behind the injected-fault smoke test.
 /// With `--shards N` (N ≥ 2), additionally queries every shard's
 /// `energy` series individually and asserts the merged `/query` total
 /// equals the per-shard sum to 1e-9 relative — the merged-plane
-/// conservation check the multi-shard smoke test runs.
+/// conservation check the multi-shard smoke test runs — and validates
+/// every shard's `/metrics?shard=K` exposition.
 fn serve_probe_cmd(addr: &str, quit: bool, flightrec: Option<&str>, shards: usize) {
     use ahbpower_bench::http_get;
     use std::time::Duration;
@@ -570,17 +573,28 @@ fn serve_probe_cmd(addr: &str, quit: bool, flightrec: Option<&str>, shards: usiz
             failures += 1;
         }
     }
-    match http_get(addr, "/metrics", timeout) {
-        Ok(r) if r.status == 200 && r.body.contains("# TYPE") => {
-            println!("/metrics: ok ({} bytes)", r.body.len());
-        }
-        Ok(r) => {
-            eprintln!("/metrics: status {} without Prometheus content", r.status);
-            failures += 1;
-        }
-        Err(e) => {
-            eprintln!("/metrics: {e}");
-            failures += 1;
+    // The Prometheus exposition: the merged view, then every drill-down
+    // the /query probe below walks.
+    let drills = if shards >= 2 { shards } else { 0 };
+    let metrics_paths = std::iter::once("/metrics".to_string())
+        .chain((0..drills).map(|k| format!("/metrics?shard={k}")));
+    for path in metrics_paths {
+        match http_get(addr, &path, timeout) {
+            Ok(r) if r.status == 200 => match validate_prometheus(&r.body) {
+                Ok(()) => println!("{path}: valid exposition ({} bytes)", r.body.len()),
+                Err(e) => {
+                    eprintln!("{path}: malformed exposition: {e}");
+                    failures += 1;
+                }
+            },
+            Ok(r) => {
+                eprintln!("{path}: status {}", r.status);
+                failures += 1;
+            }
+            Err(e) => {
+                eprintln!("{path}: {e}");
+                failures += 1;
+            }
         }
     }
     match http_get(addr, "/status", timeout) {

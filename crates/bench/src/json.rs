@@ -7,6 +7,9 @@
 //! exporters' documents can reach hundreds of megabytes, and the smoke
 //! checks only need well-formedness, not a DOM.
 //!
+//! [`validate_prometheus`] does the same for the Prometheus text the
+//! serving plane's `/metrics` writes.
+//!
 //! For the *small* documents the workspace must read back (the committed
 //! `results/baseline.json`), [`parse_json`] builds a [`JsonValue`] tree
 //! over the same grammar. The validator stays allocation-free for the
@@ -393,6 +396,98 @@ pub fn validate_json(text: &str) -> Result<(), JsonError> {
     Ok(())
 }
 
+/// Checks Prometheus text exposition (version 0.0.4) for the shape the
+/// serving plane promises: every family declared by exactly one
+/// `# TYPE`, each family's sample lines contiguous right after it, and
+/// every sample line ending in a number (an optional integer timestamp
+/// may follow the value). A histogram's `_bucket`, `_sum` and `_count`
+/// samples belong to its family.
+///
+/// # Errors
+///
+/// A message naming the first offending line (1-based) and why.
+///
+/// # Examples
+///
+/// ```
+/// use ahbpower_bench::validate_prometheus;
+///
+/// let ok = "# TYPE a_total counter\na_total{k=\"v\"} 1\na_total 2\n";
+/// assert!(validate_prometheus(ok).is_ok());
+/// let split = "# TYPE a counter\na 1\n# TYPE b gauge\nb 2\na 3\n";
+/// assert!(validate_prometheus(split).is_err());
+/// ```
+pub fn validate_prometheus(text: &str) -> Result<(), String> {
+    let mut kinds: Vec<(&str, &str)> = Vec::new();
+    let mut current: Option<&str> = None;
+    for (i, line) in text.lines().enumerate() {
+        let fail = |why: &str| Err(format!("line {}: {why}: {line:?}", i + 1));
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let Some((name, kind)) = decl.split_once(' ') else {
+                return fail("malformed TYPE line");
+            };
+            if kinds.iter().any(|&(n, _)| n == name) {
+                return fail("second TYPE for one family");
+            }
+            kinds.push((name, kind));
+            current = Some(name);
+            continue;
+        }
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let name_end = line.find(['{', ' ']).unwrap_or(line.len());
+        let name = &line[..name_end];
+        let family = kinds.iter().map(|&(family, _)| family).find(|&f| f == name);
+        let family = family.or_else(|| {
+            ["_bucket", "_sum", "_count"].iter().find_map(|suffix| {
+                let base = name.strip_suffix(suffix)?;
+                kinds
+                    .iter()
+                    .find(|&&(f, kind)| f == base && matches!(kind, "histogram" | "summary"))
+                    .map(|&(f, _)| f)
+            })
+        });
+        let Some(family) = family else {
+            return fail("sample of an undeclared family");
+        };
+        if current != Some(family) {
+            return fail("sample separated from the rest of its family");
+        }
+        let mut rest = &line[name_end..];
+        if rest.starts_with('{') {
+            let Some(close) = label_block_end(rest) else {
+                return fail("unterminated label set");
+            };
+            rest = &rest[close + 1..];
+        }
+        let mut fields = rest.split_whitespace();
+        let value_ok = fields.next().is_some_and(|v| v.parse::<f64>().is_ok());
+        let timestamp_ok = fields.next().is_none_or(|t| t.parse::<i64>().is_ok());
+        if !rest.starts_with(' ') || !value_ok || !timestamp_ok || fields.next().is_some() {
+            return fail("sample line does not end in a number");
+        }
+    }
+    Ok(())
+}
+
+/// Byte offset of the `}` closing the label set `labels` starts with,
+/// skipping braces inside quoted (and backslash-escaped) label values.
+fn label_block_end(labels: &str) -> Option<usize> {
+    let mut quoted = false;
+    let mut escaped = false;
+    for (i, c) in labels.char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if quoted => escaped = true,
+            '"' => quoted = !quoted,
+            '}' if !quoted => return Some(i),
+            _ => {}
+        }
+    }
+    None
+}
+
 /// A parsed JSON document. Object members keep their document order
 /// (duplicate keys keep the last occurrence on lookup, first wins on
 /// iteration order).
@@ -500,6 +595,31 @@ pub fn parse_json(text: &str) -> Result<JsonValue, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn prometheus_shape_is_checked() {
+        let good = "# HELP h Latency.\n# TYPE h histogram\n\
+                    h_bucket{k=\"a} b\\\"\",le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 2\n\
+                    h_sum 3\nh_count 2\n# TYPE g gauge\ng NaN\ng{x=\"1\"} -1.5e-9 1700000000\n";
+        assert_eq!(validate_prometheus(good), Ok(()));
+        for (bad, why) in [
+            ("# TYPE a counter\na 1\n# TYPE a counter\n", "second TYPE"),
+            ("# TYPE a counter\n# TYPE b counter\na 1\n", "separated"),
+            (
+                "# TYPE a counter\na 1\n# TYPE b gauge\nb 1\na 2\n",
+                "separated",
+            ),
+            ("b 1\n", "undeclared"),
+            ("# TYPE a counter\na_sum 1\n", "undeclared"),
+            ("# TYPE a counter\na one\n", "number"),
+            ("# TYPE a counter\na{k=\"v\"}1\n", "number"),
+            ("# TYPE a counter\na 1 2 3\n", "number"),
+            ("# TYPE a counter\na{k=\"v} 1\n", "unterminated"),
+        ] {
+            let err = validate_prometheus(bad).expect_err(bad);
+            assert!(err.contains(why), "{bad:?}: {err}");
+        }
+    }
 
     #[test]
     fn accepts_valid_documents() {

@@ -28,7 +28,7 @@ pub use flightrec::{
     FlightRecorder, FLIGHTREC_CAUSAL_CAP, FLIGHTREC_EVENT_CONTEXT, FLIGHTREC_MAX_BUNDLES,
     FLIGHTREC_WINDOW_CONTEXT,
 };
-pub use json::{parse_json, validate_json, JsonError, JsonValue};
+pub use json::{parse_json, validate_json, validate_prometheus, JsonError, JsonValue};
 pub use loadgen::{
     loadgen_report_json, run_loadgen, EndpointStats, LoadgenConfig, LoadgenReport,
     LOADGEN_LATENCY_BOUNDS_US,

@@ -13,8 +13,16 @@
 //! them with `ShardSnapshot::merge`: counts add, a mean is total/count
 //! of the merged rows, histograms bucket-merge, high-water marks take
 //! the max and flags OR. The merge is rendered once, so one shard is a
-//! merge of one. `/metrics` adds the plane's own gauges and, across
-//! several shards, every shard's series under a `shard="K"` label.
+//! merge of one. `/metrics` has one series definition, written
+//! family-major in one pass straight into the response body, with no
+//! registry built per request: each family's merged sample comes
+//! first, then — across several shards — every shard's sample with
+//! `shard="K"` appended, and last the plane's own families (uptime,
+//! pool, shed and request-timeout counts).
+//!
+//! Every request line has one deadline: a client that has not sent it
+//! within 2 s is answered `408` and counted, however slowly it
+//! trickles bytes, so it cannot hold a pool thread.
 //!
 //! `/query` fans out to every shard observatory and composes
 //! sum/min/max per bucket, so the merged energy total equals the sum of
@@ -23,7 +31,8 @@
 //! space of dot-joined per-shard sequences (`since=12.34`) with
 //! per-shard `dropped` accounting and shard-tagged events.
 //!
-//! On shutdown the same renderers write `serve_final.jsonl` and
+//! On shutdown the same renderers write `serve_final.jsonl` (the
+//! `/metrics` series, fed into a registry instead of text) and
 //! `serve_status.json`, and every shard's events and observatory are
 //! flushed atomically to the results directory, so a `/quit` (or slice
 //! budgets running out) always leaves complete, readable artifacts.
@@ -36,17 +45,19 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use ahbpower::telemetry::{
-    events_to_jsonl, json_num, to_jsonl, to_prometheus, AnomalyConfig, AnomalyEvent, DetectorState,
-    Event, EventBatch, EventBus, EventKind, ExportMeta, MetricsRegistry, Observatory,
-    ObservatoryConfig, QueryResult, TelemetryConfig, DEFAULT_EVENT_CAPACITY,
-    OBSERVATORY_LEVEL_FACTORS,
+    events_to_jsonl, json_num, to_jsonl, AnomalyConfig, AnomalyEvent, DetectorState, Event,
+    EventBatch, EventBus, EventKind, ExportMeta, MetricKind, MetricSink, Observatory,
+    ObservatoryConfig, PromWriter, QueryResult, RegistrySink, SampleValue, TelemetryConfig,
+    DEFAULT_EVENT_CAPACITY, OBSERVATORY_LEVEL_FACTORS,
 };
-use ahbpower::{AnalysisConfig, InstructionLedger, PowerSession, SubBlock};
+use ahbpower::{
+    AnalysisConfig, Instruction, InstructionLedger, PowerSession, SubBlock, INSTRUCTION_COUNT,
+};
 use ahbpower_ahb::CycleHistogram;
 use ahbpower_workloads::{PaperTestbench, SocScenario};
 
@@ -70,6 +81,15 @@ const EVENTS_LOG_CAP: usize = 200_000;
 /// Longest `/events` long-poll the server will honor. A parked poll
 /// occupies one pool worker and one connection slot — keep it short.
 const EVENTS_POLL_CAP_MS: u64 = 5_000;
+
+/// How long a connection has to deliver its request line. Each read
+/// waits only for what is left of it, so a client trickling bytes is
+/// answered `408` when it runs out instead of holding a pool thread.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Initial capacity of a `/metrics` body: room for a 2-shard plane's
+/// series (about 31 KB) without regrowing the buffer.
+const METRICS_BODY_HINT: usize = 48 * 1024;
 
 /// Seed distance between adjacent shards. Shard `k` runs slice `i` at
 /// `seed + k * SHARD_SEED_STRIDE + i`, so shards never replay each
@@ -448,156 +468,6 @@ struct LiveState {
     detector: Option<DetectorState>,
 }
 
-/// The registry `/metrics` renders for one snapshot (one shard, or the
-/// merge of several) through the standard Prometheus exporter.
-fn registry(snap: &ShardSnapshot) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
-    let c = reg.counter("serve_slices_total", "Workload slices completed.", &[]);
-    reg.add(c, snap.slices as f64);
-    let c = reg.counter("ahb_cycles_total", "Bus cycles simulated.", &[]);
-    reg.add(c, snap.cycles as f64);
-    let c = reg.counter("power_total_energy_joules", "Total bus energy booked.", &[]);
-    reg.add(c, snap.total_energy_j);
-    for row in snap.instructions.rows() {
-        let name = row.instruction.name();
-        let labels = [("instruction", name.as_str())];
-        let c = reg.counter(
-            "power_instruction_cycles_total",
-            "Cycles booked per instruction.",
-            &labels,
-        );
-        reg.add(c, row.count as f64);
-        let c = reg.counter(
-            "power_instruction_energy_joules",
-            "Energy booked per instruction.",
-            &labels,
-        );
-        reg.add(c, row.total);
-        let g = reg.gauge(
-            "power_instruction_mean_energy_joules",
-            "Mean energy per instruction occurrence.",
-            &labels,
-        );
-        reg.set(g, row.average);
-    }
-    let h = reg.histogram(
-        "serve_window_power_microwatts",
-        "Windowed bus power distribution.",
-        &[],
-        &WINDOW_POWER_BOUNDS_UW,
-    );
-    reg.set_histogram(h, &snap.window_power_uw);
-    let c = reg.counter(
-        "energy_anomaly_windows_total",
-        "Detection windows judged.",
-        &[],
-    );
-    reg.add(c, snap.anomaly_windows as f64);
-    let c = reg.counter(
-        "energy_anomaly_events_total",
-        "Windows flagged as energy anomalies.",
-        &[],
-    );
-    reg.add(c, snap.anomaly_count as f64);
-    let c = reg.counter(
-        "energy_anomaly_baseline_updates_total",
-        "Clean windows absorbed into the rolling baseline.",
-        &[],
-    );
-    reg.add(c, snap.baseline_updates as f64);
-    for (i, joules) in snap.per_master_j.iter().enumerate() {
-        let master = format!("{i}");
-        let labels = [("master", master.as_str())];
-        let c = reg.counter(
-            "power_master_energy_joules",
-            "Energy attributed per bus master.",
-            &labels,
-        );
-        reg.add(c, *joules);
-    }
-    let c = reg.counter(
-        "serve_transactions_total",
-        "Bus transactions completed.",
-        &[],
-    );
-    reg.add(c, snap.transactions as f64);
-    let c = reg.counter(
-        "serve_events_published_total",
-        "Structured events published to the ring.",
-        &[],
-    );
-    reg.add(c, snap.events_published as f64);
-    let c = reg.counter(
-        "serve_events_dropped_total",
-        "Structured events lost to ring wraparound.",
-        &[],
-    );
-    reg.add(c, snap.events_dropped as f64);
-    let g = reg.gauge(
-        "serve_events_cursor_lag",
-        "Events published but not yet drained by the worker.",
-        &[],
-    );
-    reg.set(g, snap.events_lag as f64);
-    let g = reg.gauge(
-        "serve_degraded",
-        "1 while any shard's most recently judged detection window was flagged.",
-        &[],
-    );
-    reg.set(g, if snap.degraded { 1.0 } else { 0.0 });
-    if let Some(obs) = &snap.observatory {
-        let c = reg.counter(
-            "serve_observatory_windows_total",
-            "Raw windows ingested by the power observatory.",
-            &[],
-        );
-        reg.add(c, obs.windows as f64);
-        for level in 0..OBSERVATORY_LEVEL_FACTORS.len() {
-            let label = format!("{level}");
-            let labels = [("level", label.as_str())];
-            let g = reg.gauge(
-                "serve_observatory_ring_occupancy",
-                "Occupied observatory ring buckets per level.",
-                &labels,
-            );
-            reg.set(g, obs.occupancy[level] as f64);
-            let c = reg.counter(
-                "serve_observatory_cascade_buckets_total",
-                "Buckets opened per observatory level (downsample cascades).",
-                &labels,
-            );
-            reg.add(c, obs.opened[level] as f64);
-        }
-    }
-    let c = reg.counter(
-        "serve_flightrec_bundles_total",
-        "Flight-recorder bundles written.",
-        &[],
-    );
-    reg.add(c, snap.flightrec_bundles as f64);
-    for (stage, hist) in [
-        ("sim", &snap.sim_us),
-        ("publish", &snap.publish_us),
-        ("render", &snap.render_us),
-    ] {
-        let labels = [("stage", stage)];
-        let h = reg.histogram(
-            "serve_stage_duration_microseconds",
-            "Wall-clock per pipeline stage.",
-            &labels,
-            &STAGE_US_BOUNDS,
-        );
-        reg.set_histogram(h, hist);
-    }
-    let g = reg.gauge(
-        "serve_replay_cycles_per_second",
-        "Replay throughput from the startup record/replay self-calibration.",
-        &[],
-    );
-    reg.set(g, snap.replay.map_or(0.0, |r| r.cycles_per_sec));
-    reg
-}
-
 /// What the service did, reported by [`ServerHandle::wait`]. Numeric
 /// fields aggregate every shard.
 #[derive(Debug, Clone, PartialEq)]
@@ -642,6 +512,8 @@ struct Plane {
     active: AtomicU64,
     /// Connections shed with 503 at the admission gate.
     shed: AtomicU64,
+    /// Connections answered 408: the request line missed its deadline.
+    timeouts: AtomicU64,
     started: Instant,
     addr: SocketAddr,
     mix: ScenarioMix,
@@ -777,12 +649,11 @@ impl ServerHandle {
                 cycles,
                 seed,
             };
-            // The registry /metrics serves, then every shard's anomaly
-            // event lines.
-            let mut jsonl = to_jsonl(
-                &metrics_registry(&view),
-                &meta(view.total.cycles, plane.seed),
-            );
+            // The /metrics series, registered, then every shard's
+            // anomaly event lines.
+            let mut series = RegistrySink::default();
+            metrics_series(&view, &mut series);
+            let mut jsonl = to_jsonl(&series.registry, &meta(view.total.cycles, plane.seed));
             for (i, shard) in plane.shards.iter().enumerate() {
                 let s = shard.state.lock().map_err(|_| poisoned())?;
                 for e in &s.anomaly_events {
@@ -893,6 +764,7 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
         },
         active: AtomicU64::new(0),
         shed: AtomicU64::new(0),
+        timeouts: AtomicU64::new(0),
         started: Instant::now(),
         addr,
         mix: cfg.mix,
@@ -1213,9 +1085,8 @@ fn run_accept(listener: &TcpListener, plane: &Arc<Plane>) {
         if plane.active.load(Ordering::SeqCst) >= plane.max_connections as u64 {
             // ordering: statistics-only shed tally; seqcst for simplicity.
             plane.shed.fetch_add(1, Ordering::SeqCst);
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
             let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-            let _ = read_request_path(&mut stream);
+            let _ = read_request_path(&mut stream, Instant::now() + Duration::from_millis(250));
             let _ = write_response(
                 &mut stream,
                 503,
@@ -1270,12 +1141,20 @@ fn run_pool_worker(plane: &Arc<Plane>) {
 }
 
 /// Answers one admitted connection; `/quit` additionally stops the
-/// plane and pokes the listener so the accept loop exits.
+/// plane and pokes the listener so the accept loop exits. A request
+/// line that misses [`REQUEST_DEADLINE`] is answered `408` and counted.
 fn handle_connection(stream: &mut TcpStream, plane: &Arc<Plane>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let Some(path) = read_request_path(stream) else {
-        return;
+    let path = match read_request_path(stream, Instant::now() + REQUEST_DEADLINE) {
+        Ok(path) => path,
+        Err(RequestError::TimedOut) => {
+            // ordering: statistics-only timeout tally; seqcst for simplicity.
+            plane.timeouts.fetch_add(1, Ordering::SeqCst);
+            let body = "request line not received within the deadline\n";
+            let _ = write_response(stream, 408, "text/plain; charset=utf-8", body);
+            return;
+        }
+        Err(RequestError::Invalid) => return,
     };
     let quit = path == "/quit" || path.starts_with("/quit?");
     let (status, content_type, body) = route(&path, plane);
@@ -1288,29 +1167,52 @@ fn handle_connection(stream: &mut TcpStream, plane: &Arc<Plane>) {
     }
 }
 
+/// Why a connection yielded no request path.
+enum RequestError {
+    /// The request line was not complete by its deadline.
+    TimedOut,
+    /// The connection closed, failed, or sent something other than a
+    /// `GET` request line.
+    Invalid,
+}
+
 /// Parses the request line (`GET /path HTTP/1.1`) of one connection.
-fn read_request_path(stream: &mut TcpStream) -> Option<String> {
+/// The whole line must arrive by `deadline`: each read waits only for
+/// the time left, however slowly the bytes come.
+fn read_request_path(stream: &mut TcpStream, deadline: Instant) -> Result<String, RequestError> {
     let mut buf = [0u8; 1024];
     let mut filled = 0usize;
     loop {
-        let n = stream.read(&mut buf[filled..]).ok()?;
-        if n == 0 {
-            break;
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(RequestError::TimedOut);
         }
-        filled += n;
-        if buf[..filled].windows(2).any(|w| w == b"\r\n") || filled == buf.len() {
-            break;
+        stream
+            .set_read_timeout(Some(left))
+            .map_err(|_| RequestError::Invalid)?;
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) => break,
+            Ok(n) => {
+                filled += n;
+                if buf[..filled].windows(2).any(|w| w == b"\r\n") || filled == buf.len() {
+                    break;
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                return Err(match e.kind() {
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => RequestError::TimedOut,
+                    _ => RequestError::Invalid,
+                });
+            }
         }
     }
-    let text = core::str::from_utf8(&buf[..filled]).ok()?;
-    let line = text.lines().next()?;
-    let mut parts = line.split_whitespace();
-    let method = parts.next()?;
-    let path = parts.next()?;
-    if method != "GET" {
-        return None;
+    let text = core::str::from_utf8(&buf[..filled]).map_err(|_| RequestError::Invalid)?;
+    let mut parts = text.lines().next().unwrap_or("").split_whitespace();
+    match (parts.next(), parts.next()) {
+        (Some("GET"), Some(path)) => Ok(path.to_string()),
+        _ => Err(RequestError::Invalid),
     }
-    Some(path.to_string())
 }
 
 /// Reads `key=value` from a query string; `None` on absent or
@@ -1737,44 +1639,236 @@ fn healthz_json(view: &View) -> String {
     )
 }
 
-/// The `/metrics` registry: the addressed shards' merged series, the
-/// serving plane's own gauges, and — when several shards are addressed
-/// — every shard's series again under a `shard="K"` label.
-fn metrics_registry(view: &View) -> MetricsRegistry {
-    let plane = view.plane;
-    let mut reg = registry(&view.total);
-    let g = reg.gauge("serve_uptime_seconds", "Service uptime.", &[]);
-    reg.set(g, plane.uptime_s());
-    let g = reg.gauge("serve_shards", "Worker shards running.", &[]);
-    reg.set(g, plane.shards.len() as f64);
-    let g = reg.gauge("serve_http_threads", "HTTP pool size.", &[]);
-    reg.set(g, plane.http_threads as f64);
-    let g = reg.gauge(
-        "serve_http_max_connections",
-        "Admission limit: connections admitted beyond this are shed.",
-        &[],
-    );
-    reg.set(g, plane.max_connections as f64);
-    let g = reg.gauge(
-        "serve_http_active_connections",
-        "Connections admitted and not yet answered.",
-        &[],
-    );
-    // ordering: monitoring reads of hot admission counters; seqcst for simplicity.
-    reg.set(g, plane.active.load(Ordering::SeqCst) as f64);
-    let c = reg.counter(
-        "serve_http_shed_total",
-        "Connections shed with 503 by the admission limit.",
-        &[],
-    );
-    // ordering: monitoring read of the shed tally; seqcst for simplicity.
-    reg.add(c, plane.shed.load(Ordering::SeqCst) as f64);
-    if view.shards.len() > 1 {
-        for (k, snap) in &view.shards {
-            reg.merge_labeled(&registry(snap), "shard", &k.to_string());
+/// One `/metrics` sample: a counter or gauge value, or a distribution.
+enum Sample<'a> {
+    Scalar(SampleValue),
+    Hist(&'a CycleHistogram),
+}
+
+/// A snapshot the `/metrics` series are written for, with its
+/// `shard="K"` label value (`None` for the merge).
+type Source<'v> = (Option<&'v str>, &'v ShardSnapshot);
+
+/// A `/metrics` family: name, help and kind.
+type Family = (&'static str, &'static str, MetricKind);
+
+/// An unlabelled family with the function that reads its value off a `T`.
+type ValueFamily<T> = (Family, fn(&T) -> SampleValue);
+
+/// The unlabelled families every snapshot exports, with their values.
+#[rustfmt::skip]
+const SNAPSHOT_FAMILIES: [ValueFamily<ShardSnapshot>; 13] = {
+    use MetricKind::{Counter, Gauge};
+    [
+        (("serve_slices_total", "Workload slices completed.", Counter), |s| s.slices.into()),
+        (("ahb_cycles_total", "Bus cycles simulated.", Counter), |s| s.cycles.into()),
+        (("power_total_energy_joules", "Total bus energy booked.", Counter),
+            |s| s.total_energy_j.into()),
+        (("energy_anomaly_windows_total", "Detection windows judged.", Counter),
+            |s| s.anomaly_windows.into()),
+        (("energy_anomaly_events_total", "Windows flagged as energy anomalies.", Counter),
+            |s| s.anomaly_count.into()),
+        (("energy_anomaly_baseline_updates_total",
+            "Clean windows absorbed into the rolling baseline.", Counter),
+            |s| s.baseline_updates.into()),
+        (("serve_transactions_total", "Bus transactions completed.", Counter),
+            |s| s.transactions.into()),
+        (("serve_events_published_total", "Structured events published to the ring.", Counter),
+            |s| s.events_published.into()),
+        (("serve_events_dropped_total", "Structured events lost to ring wraparound.", Counter),
+            |s| s.events_dropped.into()),
+        (("serve_events_cursor_lag", "Events published but not yet drained by the worker.", Gauge),
+            |s| s.events_lag.into()),
+        (("serve_degraded",
+            "1 while any shard's most recently judged detection window was flagged.", Gauge),
+            |s| u64::from(s.degraded).into()),
+        (("serve_flightrec_bundles_total", "Flight-recorder bundles written.", Counter),
+            |s| s.flightrec_bundles.into()),
+        (("serve_replay_cycles_per_second",
+            "Replay throughput from the startup record/replay self-calibration.", Gauge),
+            |s| s.replay.map_or(0.0, |r| r.cycles_per_sec).into()),
+    ]
+};
+
+/// The serving plane's own families (one sample each, never per
+/// shard), with their values.
+#[rustfmt::skip]
+const PLANE_FAMILIES: [ValueFamily<Plane>; 7] = {
+    use MetricKind::{Counter, Gauge};
+    [
+        (("serve_uptime_seconds", "Service uptime.", Gauge), |p| p.uptime_s().into()),
+        (("serve_shards", "Worker shards running.", Gauge), |p| (p.shards.len() as u64).into()),
+        (("serve_http_threads", "HTTP pool size.", Gauge), |p| (p.http_threads as u64).into()),
+        (("serve_http_max_connections",
+            "Admission limit: connections admitted beyond this are shed.", Gauge),
+            |p| (p.max_connections as u64).into()),
+        (("serve_http_active_connections", "Connections admitted and not yet answered.", Gauge),
+            // ordering: monitoring read of a hot admission counter; seqcst for simplicity.
+            |p| p.active.load(Ordering::SeqCst).into()),
+        (("serve_http_shed_total", "Connections shed with 503 by the admission limit.", Counter),
+            // ordering: monitoring read of the shed tally; seqcst for simplicity.
+            |p| p.shed.load(Ordering::SeqCst).into()),
+        (("serve_http_request_timeouts_total",
+            "Connections answered 408 because the request line missed its deadline.", Counter),
+            // ordering: monitoring read of the timeout tally; seqcst for simplicity.
+            |p| p.timeouts.load(Ordering::SeqCst).into()),
+    ]
+};
+
+/// Writes one family: for every source, `rows` yields `(label,
+/// sample)` pairs. Each sample is labelled `key="label"` unless `key` is
+/// empty, and a per-shard source's samples also carry `shard="K"`.
+fn family<'v, I>(
+    sink: &mut impl MetricSink,
+    sources: &[Source<'v>],
+    (name, help, kind): Family,
+    key: &str,
+    rows: impl Fn(&'v ShardSnapshot) -> I,
+) where
+    I: IntoIterator<Item = (&'v str, Sample<'v>)>,
+{
+    sink.family(name, help, kind);
+    for &(shard, snap) in sources {
+        for (label, sample) in rows(snap) {
+            let pairs = [(key, label), ("shard", shard.unwrap_or_default())];
+            let labels = &pairs[usize::from(key.is_empty())..1 + usize::from(shard.is_some())];
+            match sample {
+                Sample::Scalar(v) => sink.sample(labels, v),
+                Sample::Hist(h) => sink.histogram(labels, h),
+            }
         }
     }
-    reg
+}
+
+/// Every instruction's name, by index, formatted once per process.
+fn instruction_names() -> &'static [String; INSTRUCTION_COUNT] {
+    static NAMES: OnceLock<[String; INSTRUCTION_COUNT]> = OnceLock::new();
+    NAMES.get_or_init(|| std::array::from_fn(|i| Instruction::from_index(i).name()))
+}
+
+/// A snapshot's booked instructions: `(name, count, total joules)`.
+fn instruction_rows(s: &ShardSnapshot) -> impl Iterator<Item = (&'static str, u64, f64)> + '_ {
+    let names = instruction_names();
+    Instruction::all().filter_map(move |i| {
+        let count = s.instructions.count(i);
+        (count > 0).then(|| (names[i.index()].as_str(), count, s.instructions.energy(i)))
+    })
+}
+
+/// The `/metrics` series, the only definition of them, written
+/// family-major into any [`MetricSink`]: each family's merged
+/// sample(s) first, then — when several shards are addressed — every
+/// shard's under `shard="K"`, and last the serving plane's own
+/// families. `/metrics` feeds it a [`PromWriter`] (exposition text, no
+/// registry); the shutdown flush feeds it a [`RegistrySink`].
+fn metrics_series(view: &View, sink: &mut impl MetricSink) {
+    use MetricKind::{Counter, Gauge, Histogram};
+    use Sample::{Hist, Scalar};
+    let t = &view.total;
+    // Label values for shard, master and level indexes.
+    let n_indexes = (view.plane.shards.len())
+        .max(t.per_master_j.len())
+        .max(OBSERVATORY_LEVEL_FACTORS.len());
+    let indexes: Vec<String> = (0..n_indexes).map(|i| i.to_string()).collect();
+    let indexes = &indexes[..];
+    let mut sources: Vec<Source> = vec![(None, t)];
+    if view.shards.len() > 1 {
+        let shards = view.shards.iter();
+        sources.extend(shards.map(|(k, s)| (Some(indexes[*k].as_str()), s)));
+    }
+    let all = &sources[..];
+
+    for (fam, value) in SNAPSHOT_FAMILIES {
+        family(sink, all, fam, "", |s| [("", Scalar(value(s)))]);
+    }
+    // Table 1: per-instruction cycles, energy and mean energy.
+    let rows = instruction_rows;
+    let fam = (
+        "power_instruction_cycles_total",
+        "Cycles booked per instruction.",
+        Counter,
+    );
+    family(sink, all, fam, "instruction", |s| {
+        rows(s).map(|(name, count, _)| (name, Scalar(count.into())))
+    });
+    let fam = (
+        "power_instruction_energy_joules",
+        "Energy booked per instruction.",
+        Counter,
+    );
+    family(sink, all, fam, "instruction", |s| {
+        rows(s).map(|(name, _, total)| (name, Scalar(total.into())))
+    });
+    let fam = (
+        "power_instruction_mean_energy_joules",
+        "Mean energy per instruction occurrence.",
+        Gauge,
+    );
+    family(sink, all, fam, "instruction", |s| {
+        rows(s).map(|(name, count, total)| (name, Scalar((total / count as f64).into())))
+    });
+    let fam = (
+        "power_master_energy_joules",
+        "Energy attributed per bus master.",
+        Counter,
+    );
+    family(sink, all, fam, "master", |s| {
+        let per_master = s.per_master_j.iter().enumerate();
+        per_master.map(|(i, j)| (indexes[i].as_str(), Scalar((*j).into())))
+    });
+    let fam = (
+        "serve_observatory_windows_total",
+        "Raw windows ingested by the power observatory.",
+        Counter,
+    );
+    family(sink, all, fam, "", |s| {
+        s.observatory.map(|o| ("", Scalar(o.windows.into())))
+    });
+    let levels = |s: &ShardSnapshot| {
+        let obs = s.observatory.into_iter();
+        obs.flat_map(|o| (0..OBSERVATORY_LEVEL_FACTORS.len()).map(move |l| (l, o)))
+    };
+    let fam = (
+        "serve_observatory_ring_occupancy",
+        "Occupied observatory ring buckets per level.",
+        Gauge,
+    );
+    family(sink, all, fam, "level", |s| {
+        levels(s).map(|(l, o)| (indexes[l].as_str(), Scalar(o.occupancy[l].into())))
+    });
+    let fam = (
+        "serve_observatory_cascade_buckets_total",
+        "Buckets opened per observatory level (downsample cascades).",
+        Counter,
+    );
+    family(sink, all, fam, "level", |s| {
+        levels(s).map(|(l, o)| (indexes[l].as_str(), Scalar(o.opened[l].into())))
+    });
+    let fam = (
+        "serve_window_power_microwatts",
+        "Windowed bus power distribution.",
+        Histogram,
+    );
+    family(sink, all, fam, "", |s| [("", Hist(&s.window_power_uw))]);
+    let fam = (
+        "serve_stage_duration_microseconds",
+        "Wall-clock per pipeline stage.",
+        Histogram,
+    );
+    family(sink, all, fam, "stage", |s| {
+        let stages = [
+            ("sim", &s.sim_us),
+            ("publish", &s.publish_us),
+            ("render", &s.render_us),
+        ];
+        stages.map(|(stage, h)| (stage, Hist(h)))
+    });
+
+    for (fam, value) in PLANE_FAMILIES {
+        family(sink, &sources[..1], fam, "", |_| {
+            [("", Scalar(value(view.plane)))]
+        });
+    }
 }
 
 /// `/status`, `/healthz` and `/metrics`: copy the addressed snapshots,
@@ -1791,11 +1885,11 @@ fn snapshot_response(endpoint: &str, query: &str, plane: &Plane) -> (u16, &'stat
     };
     match endpoint {
         "/healthz" => (200, "application/json", healthz_json(&view)),
-        "/metrics" => (
-            200,
-            "text/plain; version=0.0.4; charset=utf-8",
-            to_prometheus(&metrics_registry(&view)),
-        ),
+        "/metrics" => (200, "text/plain; version=0.0.4; charset=utf-8", {
+            let mut w = PromWriter::with_capacity(METRICS_BODY_HINT);
+            metrics_series(&view, &mut w);
+            w.finish()
+        }),
         _ => {
             let body = status_json(&view);
             // Self-measured with one-render lag, booked to the shard
@@ -1842,6 +1936,7 @@ fn write_response(
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        408 => "Request Timeout",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
@@ -1897,7 +1992,6 @@ pub fn http_get(addr: &str, path: &str, timeout: Duration) -> Result<HttpRespons
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ahbpower::{Instruction, INSTRUCTION_COUNT};
     use proptest::prelude::*;
     use proptest::TestRng;
 

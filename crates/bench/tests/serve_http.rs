@@ -740,3 +740,56 @@ fn injection_spec_parses() {
     assert!(Injection::parse("arb").is_none());
     assert!(Injection::parse("arb:x").is_none());
 }
+
+#[test]
+fn trickled_request_line_is_answered_408_within_the_deadline() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::time::Instant;
+
+    // One pool thread: a client sending its request line one byte per
+    // 1.5 s must not hold it past the 2 s request deadline.
+    let cfg = ServeConfig {
+        http_threads: 1,
+        ..test_config()
+    };
+    let handle = serve(cfg).expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+    let trickler = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut s = TcpStream::connect(&addr).expect("connect");
+            s.set_read_timeout(Some(TIMEOUT)).expect("timeout");
+            for byte in *b"GE" {
+                s.write_all(&[byte]).expect("trickle");
+                std::thread::sleep(Duration::from_millis(1_500));
+            }
+            let mut reply = String::new();
+            let _ = s.read_to_string(&mut reply);
+            reply
+        })
+    };
+    // Let the only pool thread pick the trickler up first.
+    std::thread::sleep(Duration::from_millis(300));
+    let started = Instant::now();
+    let health = http_get(&addr, "/healthz", TIMEOUT).expect("healthz");
+    let waited = started.elapsed();
+    assert_eq!(health.status, 200);
+    assert!(
+        waited <= Duration::from_secs(3),
+        "/healthz waited {waited:?} behind a trickling client"
+    );
+    let reply = trickler.join().expect("trickler");
+    assert!(reply.starts_with("HTTP/1.1 408 "), "trickler got {reply:?}");
+
+    let metrics = http_get(&addr, "/metrics", TIMEOUT).expect("metrics");
+    let timeouts: f64 = metrics
+        .body
+        .lines()
+        .find_map(|l| l.strip_prefix("serve_http_request_timeouts_total "))
+        .expect("timeout counter exported")
+        .parse()
+        .expect("numeric counter");
+    assert!(timeouts >= 1.0, "timeouts counted: {timeouts}");
+    handle.wait().expect("clean shutdown");
+}

@@ -442,3 +442,112 @@ fn malformed_drill_down_cursors_are_rejected() {
     assert_eq!(quit.status, 200);
     handle.wait().expect("clean shutdown");
 }
+
+/// Splits a sample line into its series with any `shard="K"` label
+/// removed, that shard, and the value.
+fn split_shard(line: &str) -> (String, Option<String>, f64) {
+    let (series, value) = line.rsplit_once(' ').expect("sample value");
+    let value = value.parse().expect("numeric sample");
+    let Some(at) = series.find("shard=\"") else {
+        return (series.to_string(), None, value);
+    };
+    let end = at + 7 + series[at + 7..].find('"').expect("closed shard label");
+    let shard = series[at + 7..end].to_string();
+    let (before, after) = (&series[..at], &series[end + 1..]);
+    let base = match (before.strip_suffix(','), after.strip_prefix(',')) {
+        (Some(b), _) => format!("{b}{after}"),
+        (None, Some(a)) => format!("{before}{a}"),
+        (None, None) => format!("{}{}", &before[..before.len() - 1], &after[1..]),
+    };
+    (base, Some(shard), value)
+}
+
+#[test]
+fn metrics_exposition_is_family_major_and_additive() {
+    let handle = serve(sharded_config(2, 3)).expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+    wait_for_slices(&addr, 6);
+    let get = |path: &str| {
+        let resp = http_get(&addr, path, TIMEOUT).expect("metrics");
+        assert_eq!(resp.status, 200, "{path}");
+        if let Err(e) = ahbpower_bench::validate_prometheus(&resp.body) {
+            panic!("{path}: {e}");
+        }
+        resp.body
+    };
+    let merged = get("/metrics");
+    let drills = [get("/metrics?shard=0"), get("/metrics?shard=1")];
+
+    // Every additive family (counters, and histogram buckets, sums and
+    // counts) sums over its shard="K" samples to the merged sample:
+    // exactly for counts, to 1e-9 relative for joules.
+    let additive: Vec<&str> = merged
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|decl| decl.split_once(' '))
+        .filter(|(_, kind)| matches!(*kind, "counter" | "histogram"))
+        .map(|(name, _)| name)
+        .collect();
+    let mut merged_samples = std::collections::BTreeMap::new();
+    let mut shard_samples = std::collections::BTreeMap::<String, Vec<(String, f64)>>::new();
+    for line in merged.lines().filter(|l| !l.starts_with('#')) {
+        match split_shard(line) {
+            (base, Some(k), value) => shard_samples.entry(base).or_default().push((k, value)),
+            (base, None, value) => {
+                merged_samples.insert(base, value);
+            }
+        }
+    }
+    let mut checked = 0;
+    for (base, shards) in &shard_samples {
+        let name = base.split(['{', ' ']).next().unwrap();
+        let family = name
+            .strip_suffix("_bucket")
+            .or_else(|| name.strip_suffix("_sum"))
+            .or_else(|| name.strip_suffix("_count"))
+            .filter(|f| additive.contains(f))
+            .unwrap_or(name);
+        if !additive.contains(&family) {
+            continue;
+        }
+        let total = *merged_samples
+            .get(base)
+            .unwrap_or_else(|| panic!("{base}: no merged sample"));
+        let sum: f64 = shards.iter().map(|(_, v)| v).sum();
+        if name.ends_with("_joules") {
+            assert!(
+                (total - sum).abs() <= 1e-9 * total.abs(),
+                "{base}: merged {total} != shard sum {sum}"
+            );
+        } else {
+            assert_eq!(total, sum, "{base}: merged != shard sum");
+        }
+        // The drill-down renders that shard's own sample.
+        for (k, value) in shards {
+            let k: usize = k.parse().expect("shard index");
+            let own = drills[k]
+                .lines()
+                .find_map(|l| {
+                    let (s, v) = l.rsplit_once(' ')?;
+                    (s == base).then(|| v.parse::<f64>().expect("value"))
+                })
+                .unwrap_or_else(|| panic!("{base} missing from /metrics?shard={k}"));
+            assert_eq!(own, *value, "{base} shard {k}");
+        }
+        checked += 1;
+    }
+    assert!(
+        checked > 40,
+        "only {checked} additive series carried shard samples"
+    );
+    for name in ["power_instruction_energy_joules", "ahb_cycles_total"] {
+        assert!(
+            merged.contains(&format!("{name}{{")) || merged.contains(&format!("{name} ")),
+            "{name} exported"
+        );
+    }
+
+    let quit = http_get(&addr, "/quit", TIMEOUT).expect("quit");
+    assert_eq!(quit.status, 200);
+    handle.wait().expect("clean shutdown");
+}

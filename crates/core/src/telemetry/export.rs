@@ -1,6 +1,9 @@
 //! Exporters: render a [`MetricsRegistry`] as JSONL, CSV or Prometheus
 //! text exposition, a transaction trace as Chrome trace-event JSON, and
-//! an [`AttributionTable`] as folded flamegraph stacks.
+//! an [`AttributionTable`] as folded flamegraph stacks. Prometheus text
+//! has one writer, [`PromWriter`]: [`to_prometheus`] walks a registry
+//! through it, and series defined against [`MetricSink`] write through
+//! it without building a registry at all.
 //!
 //! All formats are produced by hand (the workspace's vendored `serde` is
 //! an offline no-op stub), which also keeps the output format under test
@@ -8,7 +11,7 @@
 
 use std::fmt::Write as _;
 
-use ahbpower_ahb::SlaveId;
+use ahbpower_ahb::{CycleHistogram, SlaveId};
 
 use crate::attribution::AttributionTable;
 use crate::telemetry::events::Event;
@@ -255,70 +258,292 @@ pub fn prom_unescape_label(v: &str) -> String {
     out
 }
 
-/// Appends `{k="v",...}` for `meta`'s labels plus `extra`, or nothing
-/// when there are none.
-fn push_prom_labels(out: &mut String, meta: &MetricMeta, extra: Option<(&str, &str)>) {
-    let labels = meta.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()));
-    for (i, (k, v)) in labels.chain(extra).enumerate() {
-        out.push(if i == 0 { '{' } else { ',' });
-        out.push_str(k);
-        out.push_str("=\"");
-        push_prom_escaped(out, v);
-        out.push('"');
-    }
-    if !meta.labels.is_empty() || extra.is_some() {
-        out.push('}');
+/// What a metric family holds: its `# TYPE` in the exposition.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum MetricKind {
+    /// A monotonically increasing total.
+    #[default]
+    Counter,
+    /// A point-in-time value.
+    Gauge,
+    /// A fixed-bucket distribution.
+    Histogram,
+}
+
+impl MetricKind {
+    /// The Prometheus `# TYPE` spelling.
+    fn as_str(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
+        }
     }
 }
 
-fn prom_header(out: &mut String, seen: &mut Vec<String>, name: &str, help: &str, kind: &str) {
-    if seen.iter().any(|n| n == name) {
-        return;
+/// One counter or gauge sample value.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum SampleValue {
+    /// An integral count, printed as an integer.
+    Count(u64),
+    /// A measurement, printed through `f64` `Display` (the shortest
+    /// form that parses back to the same bits).
+    Value(f64),
+}
+
+impl From<u64> for SampleValue {
+    fn from(v: u64) -> Self {
+        SampleValue::Count(v)
     }
-    seen.push(name.to_string());
-    let _ = writeln!(out, "# HELP {name} {}", help.replace('\n', " "));
-    let _ = writeln!(out, "# TYPE {name} {kind}");
+}
+
+impl From<f64> for SampleValue {
+    fn from(v: f64) -> Self {
+        SampleValue::Value(v)
+    }
+}
+
+impl SampleValue {
+    /// The value as the registry stores it.
+    fn as_f64(self) -> f64 {
+        match self {
+            SampleValue::Count(v) => v as f64,
+            SampleValue::Value(v) => v,
+        }
+    }
+
+    /// Appends the value as the exposition writes it.
+    fn push(self, out: &mut String) {
+        let _ = match self {
+            SampleValue::Count(v) => write!(out, "{v}"),
+            SampleValue::Value(v) => write!(out, "{v}"),
+        };
+    }
+}
+
+/// A destination for metric families, written one family at a time:
+/// [`MetricSink::family`] opens a family and the samples that follow
+/// belong to it. [`PromWriter`] renders them as exposition text,
+/// [`RegistrySink`] registers them into a [`MetricsRegistry`], so one
+/// series definition can feed both.
+pub trait MetricSink {
+    /// Opens a family; the samples that follow belong to it.
+    fn family(&mut self, name: &str, help: &str, kind: MetricKind);
+    /// One counter or gauge sample of the open family.
+    fn sample(&mut self, labels: &[(&str, &str)], value: impl Into<SampleValue>);
+    /// One histogram of the open family: its cumulative buckets, sum
+    /// and count.
+    fn histogram(&mut self, labels: &[(&str, &str)], hist: &CycleHistogram);
+}
+
+/// Writes the Prometheus text exposition format (version 0.0.4)
+/// straight into one `String`: `# HELP`/`# TYPE` once per family,
+/// written just before its first sample (a family without samples
+/// leaves no trace), then one line per counter/gauge sample and
+/// cumulative `_bucket{le=...}`/`_sum`/`_count` lines per histogram.
+/// Nothing is allocated per sample.
+///
+/// # Examples
+///
+/// ```
+/// use ahbpower::telemetry::{MetricKind, MetricSink, PromWriter};
+///
+/// let mut w = PromWriter::default();
+/// w.family("ahb_cycles_total", "Bus cycles.", MetricKind::Counter);
+/// w.sample(&[("shard", "1")], 42u64);
+/// let text = w.finish();
+/// let lines: Vec<&str> = text.lines().collect();
+/// assert_eq!(lines[0], "# HELP ahb_cycles_total Bus cycles.");
+/// assert_eq!(lines[1], "# TYPE ahb_cycles_total counter");
+/// assert_eq!(lines[2], "ahb_cycles_total{shard=\"1\"} 42");
+/// ```
+#[derive(Debug, Default)]
+pub struct PromWriter {
+    out: String,
+    /// The open family's name, help text and kind.
+    name: String,
+    help: String,
+    kind: MetricKind,
+    /// Whether the open family's header is still unwritten.
+    header_due: bool,
+}
+
+impl PromWriter {
+    /// A writer whose buffer starts with room for `bytes`.
+    pub fn with_capacity(bytes: usize) -> Self {
+        PromWriter {
+            out: String::with_capacity(bytes),
+            ..PromWriter::default()
+        }
+    }
+
+    /// The exposition text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Writes the open family's header if it is still due, then
+    /// `name{suffix}` and its labels, leaving the brace open when there
+    /// are any.
+    fn start_line(&mut self, suffix: &str, labels: &[(&str, &str)]) {
+        if self.header_due {
+            self.header_due = false;
+            self.out.push_str("# HELP ");
+            self.out.push_str(&self.name);
+            self.out.push(' ');
+            for (i, part) in self.help.split('\n').enumerate() {
+                if i > 0 {
+                    self.out.push(' ');
+                }
+                self.out.push_str(part);
+            }
+            self.out.push_str("\n# TYPE ");
+            self.out.push_str(&self.name);
+            self.out.push(' ');
+            self.out.push_str(self.kind.as_str());
+            self.out.push('\n');
+        }
+        self.out.push_str(&self.name);
+        self.out.push_str(suffix);
+        for (i, (k, v)) in labels.iter().enumerate() {
+            self.out.push(if i == 0 { '{' } else { ',' });
+            self.out.push_str(k);
+            self.out.push_str("=\"");
+            push_prom_escaped(&mut self.out, v);
+            self.out.push('"');
+        }
+    }
+
+    /// One `name{suffix}{labels} value` line.
+    fn line(&mut self, suffix: &str, labels: &[(&str, &str)], value: SampleValue) {
+        self.start_line(suffix, labels);
+        if !labels.is_empty() {
+            self.out.push('}');
+        }
+        self.out.push(' ');
+        value.push(&mut self.out);
+        self.out.push('\n');
+    }
+}
+
+impl MetricSink for PromWriter {
+    fn family(&mut self, name: &str, help: &str, kind: MetricKind) {
+        self.name.clear();
+        self.name.push_str(name);
+        self.help.clear();
+        self.help.push_str(help);
+        self.kind = kind;
+        self.header_due = true;
+    }
+
+    fn sample(&mut self, labels: &[(&str, &str)], value: impl Into<SampleValue>) {
+        self.line("", labels, value.into());
+    }
+
+    fn histogram(&mut self, labels: &[(&str, &str)], hist: &CycleHistogram) {
+        let mut cumulative = 0u64;
+        for (i, count) in hist.bucket_counts().iter().enumerate() {
+            cumulative += count;
+            self.start_line("_bucket", labels);
+            self.out.push_str(if labels.is_empty() {
+                "{le=\""
+            } else {
+                ",le=\""
+            });
+            match hist.bounds().get(i) {
+                Some(bound) => {
+                    let _ = write!(self.out, "{bound}");
+                }
+                None => self.out.push_str("+Inf"),
+            }
+            let _ = writeln!(self.out, "\"}} {cumulative}");
+        }
+        self.line("_sum", labels, SampleValue::Count(hist.sum()));
+        self.line("_count", labels, SampleValue::Count(hist.count()));
+    }
+}
+
+/// A [`MetricSink`] that registers every sample into a
+/// [`MetricsRegistry`] (counters add, gauges set, histograms are
+/// copied), so series written for [`PromWriter`] also reach the
+/// registry's other exporters.
+#[derive(Debug, Default)]
+pub struct RegistrySink {
+    /// The registry the samples land in.
+    pub registry: MetricsRegistry,
+    name: String,
+    help: String,
+    kind: MetricKind,
+}
+
+impl MetricSink for RegistrySink {
+    fn family(&mut self, name: &str, help: &str, kind: MetricKind) {
+        self.name = name.to_string();
+        self.help = help.to_string();
+        self.kind = kind;
+    }
+
+    fn sample(&mut self, labels: &[(&str, &str)], value: impl Into<SampleValue>) {
+        let (reg, value) = (&mut self.registry, value.into().as_f64());
+        if self.kind == MetricKind::Gauge {
+            let id = reg.gauge(&self.name, &self.help, labels);
+            reg.set(id, value);
+        } else {
+            let id = reg.counter(&self.name, &self.help, labels);
+            reg.add(id, value);
+        }
+    }
+
+    fn histogram(&mut self, labels: &[(&str, &str)], hist: &CycleHistogram) {
+        let reg = &mut self.registry;
+        let id = reg.histogram(&self.name, &self.help, labels, hist.bounds());
+        reg.set_histogram(id, hist);
+    }
 }
 
 /// Renders the registry in the Prometheus text exposition format
-/// (version 0.0.4): `# HELP`/`# TYPE` headers, one sample line per
-/// counter/gauge, and cumulative `_bucket{le=...}`/`_sum`/`_count`
-/// series per histogram.
+/// (version 0.0.4) through a [`PromWriter`]: counters, then gauges,
+/// then histograms, each in registration order, with `# HELP`/`# TYPE`
+/// once per metric name.
 pub fn to_prometheus(reg: &MetricsRegistry) -> String {
-    let mut out = String::new();
-    let mut seen: Vec<String> = Vec::new();
+    /// Opens `meta`'s family; a name seen before gets no second header.
+    fn open<'r>(
+        w: &mut PromWriter,
+        seen: &mut Vec<&'r str>,
+        meta: &'r MetricMeta,
+        kind: MetricKind,
+    ) {
+        w.family(&meta.name, &meta.help, kind);
+        if seen.contains(&meta.name.as_str()) {
+            w.header_due = false;
+        } else {
+            seen.push(&meta.name);
+        }
+    }
+    /// `meta`'s labels as borrowed pairs, in a reused buffer.
+    fn labels<'r>(buf: &mut Vec<(&'r str, &'r str)>, meta: &'r MetricMeta) {
+        buf.clear();
+        buf.extend(meta.labels.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+    }
+    let mut w = PromWriter::default();
+    let mut seen: Vec<&str> = Vec::new();
+    let mut buf: Vec<(&str, &str)> = Vec::new();
     for c in reg.counters() {
-        prom_header(&mut out, &mut seen, &c.meta.name, &c.meta.help, "counter");
-        out.push_str(&c.meta.name);
-        push_prom_labels(&mut out, &c.meta, None);
-        let _ = writeln!(out, " {}", c.value);
+        open(&mut w, &mut seen, &c.meta, MetricKind::Counter);
+        labels(&mut buf, &c.meta);
+        w.sample(&buf, c.value);
     }
     for g in reg.gauges() {
-        prom_header(&mut out, &mut seen, &g.meta.name, &g.meta.help, "gauge");
-        out.push_str(&g.meta.name);
-        push_prom_labels(&mut out, &g.meta, None);
-        let _ = writeln!(out, " {}", g.value);
+        open(&mut w, &mut seen, &g.meta, MetricKind::Gauge);
+        labels(&mut buf, &g.meta);
+        w.sample(&buf, g.value);
     }
     for h in reg.histograms() {
-        prom_header(&mut out, &mut seen, &h.meta.name, &h.meta.help, "histogram");
-        let cumulative = h.hist.cumulative_counts();
-        for (i, cum) in cumulative.iter().enumerate() {
-            let le = match h.hist.bounds().get(i) {
-                Some(b) => b.to_string(),
-                None => "+Inf".to_string(),
-            };
-            let _ = write!(out, "{}_bucket", h.meta.name);
-            push_prom_labels(&mut out, &h.meta, Some(("le", le.as_str())));
-            let _ = writeln!(out, " {cum}");
-        }
-        let _ = write!(out, "{}_sum", h.meta.name);
-        push_prom_labels(&mut out, &h.meta, None);
-        let _ = writeln!(out, " {}", h.hist.sum());
-        let _ = write!(out, "{}_count", h.meta.name);
-        push_prom_labels(&mut out, &h.meta, None);
-        let _ = writeln!(out, " {}", h.hist.count());
+        open(&mut w, &mut seen, &h.meta, MetricKind::Histogram);
+        labels(&mut buf, &h.meta);
+        w.histogram(&buf, &h.hist);
     }
-    out
+    w.finish()
 }
 
 /// Metadata for the Chrome trace-event exporter.

@@ -52,7 +52,8 @@ pub use events::{
 };
 pub use export::{
     events_to_jsonl, json_escape, json_num, prom_escape_label, prom_unescape_label, to_csv,
-    to_folded, to_jsonl, to_prometheus, to_trace_events, ExportMeta, TraceEventMeta,
+    to_folded, to_jsonl, to_prometheus, to_trace_events, ExportMeta, MetricKind, MetricSink,
+    PromWriter, RegistrySink, SampleValue, TraceEventMeta,
 };
 pub use observatory::{
     Observatory, ObservatoryConfig, QueryResult, SeriesPoint, DEFAULT_OBSERVATORY_CAPACITY,

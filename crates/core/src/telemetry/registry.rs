@@ -89,13 +89,6 @@ fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
         .collect()
 }
 
-fn label_refs(labels: &[(String, String)]) -> Vec<(&str, &str)> {
-    labels
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_str()))
-        .collect()
-}
-
 /// Whether `name` is a valid Prometheus metric name:
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`.
 pub fn is_valid_metric_name(name: &str) -> bool {
@@ -321,31 +314,6 @@ impl MetricsRegistry {
             .map(|g| g.value)
     }
 
-    /// Copies every metric of `other` into this registry with one extra
-    /// label appended (e.g. `("shard", "3")`), preserving values and
-    /// bucket contents: a per-shard *breakdown* that sits beside an
-    /// aggregate registered under the plain names.
-    pub fn merge_labeled(&mut self, other: &MetricsRegistry, key: &str, value: &str) {
-        for c in &other.counters {
-            let mut refs = label_refs(&c.meta.labels);
-            refs.push((key, value));
-            let id = self.counter(&c.meta.name, &c.meta.help, &refs);
-            self.counters[id.0].value += c.value;
-        }
-        for g in &other.gauges {
-            let mut refs = label_refs(&g.meta.labels);
-            refs.push((key, value));
-            let id = self.gauge(&g.meta.name, &g.meta.help, &refs);
-            self.gauges[id.0].value = g.value;
-        }
-        for h in &other.histograms {
-            let mut refs = label_refs(&h.meta.labels);
-            refs.push((key, value));
-            let id = self.histogram(&h.meta.name, &h.meta.help, &refs, h.hist.bounds());
-            self.histograms[id.0].hist.merge(&h.hist);
-        }
-    }
-
     /// Looks up a histogram by name and labels (test/report helper).
     pub fn histogram_by_name(
         &self,
@@ -435,57 +403,5 @@ mod tests {
         external.observe(1);
         reg.set_histogram(h, &external);
         assert_eq!(reg.histogram_by_name("lat", &[]).unwrap().count(), 1);
-    }
-
-    fn shard_registry(energy: f64, lag: f64, latencies: &[u64]) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        let c = reg.counter("power_total_energy_joules", "Energy.", &[]);
-        reg.add(c, energy);
-        let g = reg.gauge("serve_events_cursor_lag", "Lag.", &[]);
-        reg.set(g, lag);
-        let h = reg.histogram(
-            "serve_stage_duration_microseconds",
-            "Stage.",
-            &[],
-            &[10, 100],
-        );
-        for &v in latencies {
-            reg.observe(h, v);
-        }
-        reg
-    }
-
-    #[test]
-    fn merge_labeled_keeps_per_shard_breakdowns() {
-        let a = shard_registry(1.0, 1.0, &[5]);
-        let b = shard_registry(2.0, 4.0, &[50]);
-        let mut plane = shard_registry(3.0, 5.0, &[5, 50]);
-        plane.merge_labeled(&a, "shard", "0");
-        plane.merge_labeled(&b, "shard", "1");
-        assert_eq!(
-            plane.counter_value("power_total_energy_joules", &[]),
-            Some(3.0),
-            "the breakdown leaves the unlabelled aggregate alone"
-        );
-        assert_eq!(
-            plane.counter_value("power_total_energy_joules", &[("shard", "0")]),
-            Some(1.0)
-        );
-        assert_eq!(
-            plane.counter_value("power_total_energy_joules", &[("shard", "1")]),
-            Some(2.0)
-        );
-        // Labelled gauges keep the shard's own value, not a sum.
-        assert_eq!(
-            plane.gauge_value("serve_events_cursor_lag", &[("shard", "1")]),
-            Some(4.0)
-        );
-        assert_eq!(
-            plane
-                .histogram_by_name("serve_stage_duration_microseconds", &[("shard", "0")])
-                .unwrap()
-                .count(),
-            1
-        );
     }
 }
