@@ -1659,7 +1659,8 @@ fn styles(cycles: u64, seed: u64, jobs: usize) {
 /// The overhead ladder, `(name, parent, budget_pct)` with each parent
 /// before its children. `power` over `functional` is the paper's Sec 6
 /// ratio (E6); `telemetry` carries the 35% budget of the CI gate,
-/// `observatory` the retention store's 5% ceiling (E19).
+/// `observatory` the retention store's 5% ceiling (E19), `record` the
+/// activity recorder's 12% (E17).
 const RUNGS: [(&str, Option<&str>, Option<f64>); 8] = [
     ("functional", None, None),
     ("power", Some("functional"), None),
@@ -1668,7 +1669,7 @@ const RUNGS: [(&str, Option<&str>, Option<f64>); 8] = [
     ("events_off", Some("anomaly"), None),
     ("events", Some("anomaly"), None),
     ("observatory", Some("anomaly"), Some(5.0)),
-    ("record", Some("power"), None),
+    ("record", Some("power"), Some(12.0)),
 ];
 
 /// Round-robin repetitions of the whole ladder in `overhead`.

@@ -162,6 +162,8 @@ pub struct Injection {
 
 impl Injection {
     /// Parses `block:factor[@slice]`, e.g. `arb:2.0` or `dec:1.5@3`.
+    /// The factor must be finite and non-negative, the domain of every
+    /// macromodel coefficient.
     pub fn parse(spec: &str) -> Option<Injection> {
         let (block_name, rest) = spec.split_once(':')?;
         let block = SubBlock::from_name(block_name)?;
@@ -169,7 +171,10 @@ impl Injection {
             Some((f, s)) => (f, s.parse().ok()?),
             None => (rest, 2),
         };
-        let factor = factor_str.parse().ok()?;
+        let factor: f64 = factor_str.parse().ok()?;
+        if !(factor.is_finite() && factor >= 0.0) {
+            return None;
+        }
         Some(Injection {
             block,
             factor,

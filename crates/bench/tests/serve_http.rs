@@ -739,6 +739,9 @@ fn injection_spec_parses() {
     assert!(Injection::parse("nope:2.0").is_none());
     assert!(Injection::parse("arb").is_none());
     assert!(Injection::parse("arb:x").is_none());
+    for bad in ["arb:nan", "arb:inf", "arb:-1"] {
+        assert!(Injection::parse(bad).is_none(), "{bad} must be rejected");
+    }
 }
 
 #[test]

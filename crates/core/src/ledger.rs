@@ -4,6 +4,7 @@ use std::fmt;
 
 use crate::instruction::{Instruction, INSTRUCTION_COUNT};
 use crate::macromodel::BlockEnergy;
+use crate::replay::{INSTR_MASK, MASTER_MASK, MASTER_SHIFT};
 
 /// Formats an energy in joules with an auto-scaled unit (pJ/nJ/uJ/mJ).
 ///
@@ -73,9 +74,7 @@ impl InstructionLedger {
     }
 
     /// Reconstitutes a ledger from raw per-instruction `counts` and
-    /// `energy` arrays (indexed by [`Instruction::index`]). The replay
-    /// engine accumulates into plain arrays in its hot loop and builds the
-    /// ledger once at the end, preserving the exact accumulated bits.
+    /// `energy` arrays (indexed by [`Instruction::index`]).
     pub fn from_parts(counts: [u64; INSTRUCTION_COUNT], energy: [f64; INSTRUCTION_COUNT]) -> Self {
         InstructionLedger { counts, energy }
     }
@@ -188,13 +187,6 @@ impl BlockLedger {
         BlockLedger::default()
     }
 
-    /// Reconstitutes a ledger from accumulated `total` energies over
-    /// `cycles` cycles (the replay-engine counterpart of
-    /// [`InstructionLedger::from_parts`]).
-    pub fn from_parts(total: BlockEnergy, cycles: u64) -> Self {
-        BlockLedger { total, cycles }
-    }
-
     /// Adds one cycle's block energies.
     pub fn record(&mut self, e: BlockEnergy) {
         self.total += e;
@@ -238,6 +230,53 @@ impl fmt::Display for BlockLedger {
             )?;
         }
         Ok(())
+    }
+}
+
+/// Per-master slots: one for every value of the word's 8-bit master field.
+const MASTER_SLOTS: usize = (MASTER_MASK as usize) + 1;
+
+/// Where every cycle's energy is booked, keyed by its activity word: the
+/// instruction ledger, the block ledger and the bus owner's share. The
+/// live [`PowerFsm`](crate::PowerFsm) and a replay each own one.
+#[derive(Debug, Clone)]
+pub(crate) struct EnergyBook {
+    pub(crate) ledger: InstructionLedger,
+    pub(crate) blocks: BlockLedger,
+    per_master: [f64; MASTER_SLOTS],
+    max_master: usize,
+}
+
+impl EnergyBook {
+    pub(crate) fn new() -> Self {
+        EnergyBook {
+            ledger: InstructionLedger::new(),
+            blocks: BlockLedger::new(),
+            per_master: [0.0; MASTER_SLOTS],
+            max_master: 0,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn book(&mut self, word: u64, energy: BlockEnergy) {
+        let instr = (word & INSTR_MASK) as usize;
+        let master = ((word >> MASTER_SHIFT) & MASTER_MASK) as usize;
+        let total = energy.total();
+        self.ledger.counts[instr] += 1;
+        self.ledger.energy[instr] += total;
+        self.blocks.record(energy);
+        self.per_master[master] += total;
+        self.max_master = self.max_master.max(master);
+    }
+
+    /// One slot per master up to the highest owner seen; empty before the
+    /// first cycle.
+    pub(crate) fn per_master_energy(&self) -> &[f64] {
+        if self.blocks.cycles == 0 {
+            &[]
+        } else {
+            &self.per_master[..=self.max_master]
+        }
     }
 }
 

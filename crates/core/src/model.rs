@@ -134,6 +134,8 @@ impl AhbPowerModel {
     /// The energy the bus dissipated during `cur`, given the previous
     /// cycle's wires (all macromodels are driven by Hamming distances
     /// between consecutive values, per the paper).
+    /// The direct evaluation: live runs take the same bits from the lookup
+    /// tables of [`ReplayEngine`](crate::ReplayEngine), which tests hold to it.
     pub fn cycle_energy(&self, prev: &BusSnapshot, cur: &BusSnapshot) -> BlockEnergy {
         let handover = cur.hmaster != prev.hmaster;
         let addr_hd = hamming(u64::from(prev.haddr), u64::from(cur.haddr));
@@ -149,21 +151,16 @@ impl AhbPowerModel {
             + hamming(u64::from(resp_bits(prev)), u64::from(resp_bits(cur)));
         let s2m_sel = cur.hsel_bits() != prev.hsel_bits();
         let s2m = self.s2m.energy(s2m_hd, s2m_sel);
-        let hd_req = hamming(u64::from(busreq_bits(prev)), u64::from(busreq_bits(cur)));
+        let hd_req = hamming(u64::from(prev.hbusreq), u64::from(cur.hbusreq));
         let arb = self.arbiter.energy(hd_req, handover);
         BlockEnergy { dec, m2s, s2m, arb }
     }
 }
 
 /// Packs HRESP and HREADY into a small integer for Hamming distances.
-/// Crate-visible so the activity recorder observes the identical bundle.
+/// Crate-visible so the activity word packs the identical bundle.
 pub(crate) fn resp_bits(s: &BusSnapshot) -> u32 {
     u32::from(s.hresp.bits()) | (u32::from(s.hready) << 2)
-}
-
-/// Packs HBUSREQx into an integer (already packed in the snapshot).
-fn busreq_bits(s: &BusSnapshot) -> u32 {
-    s.hbusreq
 }
 
 #[cfg(test)]

@@ -2,16 +2,19 @@
 //!
 //! Fed one [`BusSnapshot`] per cycle, the FSM classifies the cycle's
 //! activity mode, forms the executed instruction (the transition from the
-//! previous mode), evaluates the sub-block macromodels on the observed
-//! Hamming distances, and books the energy to both the per-instruction
-//! ledger (Table 1) and the per-block ledger (Fig. 6).
+//! previous mode), and packs instruction, bus owner and the observed
+//! Hamming distances into one activity word. The word's energy comes from
+//! the model's lookup tables ([`ReplayEngine`]) and is booked to the
+//! per-instruction ledger (Table 1), the per-block ledger (Fig. 6) and the
+//! owner's share by the same accumulator a replay uses.
 
-use ahbpower_ahb::BusSnapshot;
+use ahbpower_ahb::{BusSnapshot, MasterId};
 
 use crate::instruction::{classify_mode, ActivityMode, Instruction};
-use crate::ledger::{BlockLedger, InstructionLedger};
+use crate::ledger::{BlockLedger, EnergyBook, InstructionLedger};
 use crate::macromodel::BlockEnergy;
 use crate::model::AhbPowerModel;
+use crate::replay::{pack_word, ReplayEngine};
 
 /// What one observed cycle contributed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,6 +23,9 @@ pub struct CycleRecord {
     pub instruction: Instruction,
     /// Energy booked to the cycle, split by sub-block.
     pub energy: BlockEnergy,
+    /// The cycle's packed activity word, as an activity trace stores it
+    /// (opaque; see [`crate::replay`]).
+    pub word: u64,
 }
 
 /// The power FSM.
@@ -46,44 +52,34 @@ pub struct CycleRecord {
 #[derive(Debug, Clone)]
 pub struct PowerFsm {
     model: AhbPowerModel,
+    /// `model` as lookup tables; rebuilt whenever `model` changes.
+    engine: ReplayEngine,
     state: ActivityMode,
     prev: Option<BusSnapshot>,
-    last_transfer_master: Option<ahbpower_ahb::MasterId>,
-    ledger: InstructionLedger,
-    blocks: BlockLedger,
-    /// Energy attributed to each master (by address-phase ownership).
-    per_master: Vec<f64>,
+    last_transfer_master: Option<MasterId>,
+    book: EnergyBook,
 }
 
 impl PowerFsm {
     /// Creates the FSM in the IDLE state.
     pub fn new(model: AhbPowerModel) -> Self {
         PowerFsm {
+            engine: ReplayEngine::new(&model),
             model,
             state: ActivityMode::Idle,
             prev: None,
             last_transfer_master: None,
-            ledger: InstructionLedger::new(),
-            blocks: BlockLedger::new(),
-            per_master: Vec::new(),
+            book: EnergyBook::new(),
         }
     }
 
     /// Processes one cycle's wires.
     pub fn observe(&mut self, snap: &BusSnapshot) -> CycleRecord {
-        let energy = match &self.prev {
-            Some(p) => self.model.cycle_energy(p, snap),
-            None => BlockEnergy::default(),
-        };
         let mode = classify_mode(snap, self.last_transfer_master);
         let instruction = Instruction::new(self.state, mode);
-        self.ledger.record(instruction, energy.total());
-        self.blocks.record(energy);
-        let owner = snap.hmaster.index();
-        if self.per_master.len() <= owner {
-            self.per_master.resize(owner + 1, 0.0);
-        }
-        self.per_master[owner] += energy.total();
+        let word = pack_word(self.prev.as_ref(), snap, instruction);
+        let energy = self.engine.energy(word);
+        self.book.book(word, energy);
         if snap.htrans.is_transfer() {
             self.last_transfer_master = Some(snap.hmaster);
         }
@@ -92,6 +88,7 @@ impl PowerFsm {
         CycleRecord {
             instruction,
             energy,
+            word,
         }
     }
 
@@ -102,23 +99,23 @@ impl PowerFsm {
 
     /// The per-instruction ledger (Table 1 data).
     pub fn ledger(&self) -> &InstructionLedger {
-        &self.ledger
+        &self.book.ledger
     }
 
     /// The per-block ledger (Fig. 6 data).
     pub fn blocks(&self) -> &BlockLedger {
-        &self.blocks
+        &self.book.blocks
     }
 
     /// Total booked energy, joules.
     pub fn total_energy(&self) -> f64 {
-        self.ledger.total_energy()
+        self.book.ledger.total_energy()
     }
 
     /// Energy attributed to each master by address-phase ownership, joules
     /// (index = master id; parked-idle energy lands on the parked owner).
     pub fn per_master_energy(&self) -> &[f64] {
-        &self.per_master
+        self.book.per_master_energy()
     }
 
     /// The macromodels in use.
@@ -131,6 +128,7 @@ impl PowerFsm {
     /// effect from the next observed cycle.
     pub fn scale_block(&mut self, block: crate::model::SubBlock, factor: f64) {
         self.model.scale_block(block, factor);
+        self.engine = ReplayEngine::new(&self.model);
     }
 
     /// Per-instruction observation flags, indexed by
@@ -140,7 +138,7 @@ impl PowerFsm {
     pub fn instruction_coverage(&self) -> [bool; crate::INSTRUCTION_COUNT] {
         let mut seen = [false; crate::INSTRUCTION_COUNT];
         for i in crate::Instruction::all() {
-            seen[i.index()] = self.ledger.count(i) > 0;
+            seen[i.index()] = self.book.ledger.count(i) > 0;
         }
         seen
     }

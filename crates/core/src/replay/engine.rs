@@ -1,23 +1,21 @@
-//! The replay kernel: a branchless, table-driven re-estimator.
+//! The energy kernel: a branchless, table-driven lookup.
 //!
 //! [`ReplayEngine::new`] flattens an [`AhbPowerModel`] into per-sub-block
-//! energy lookup tables indexed by Hamming distance (plus the select /
-//! handover flag), built by calling the very energy functions the live
-//! path calls — so table entries carry the exact `f64` bits the simulator
-//! would have produced. The hot loop then books each recorded cycle with
-//! four table loads and a handful of multiply-adds: no branches, no
-//! allocation, no wall-clock reads.
+//! energy tables indexed by Hamming distance (plus the select / handover
+//! flag), built by calling the macromodels' energy functions, so entries
+//! carry the exact `f64` bits a direct evaluation produces. One packed
+//! activity word then costs four table loads, with no branches, allocation
+//! or clock reads. The live [`PowerFsm`](crate::PowerFsm) and the replay
+//! loop share the lookup and the accumulator they book into.
 
-use crate::instruction::INSTRUCTION_COUNT;
-use crate::ledger::{BlockLedger, InstructionLedger};
+use crate::ledger::{BlockLedger, EnergyBook, InstructionLedger};
 use crate::macromodel::BlockEnergy;
 use crate::model::AhbPowerModel;
 use crate::trace::{PowerTrace, TracePoint};
 
 use super::{
-    ActivityTrace, ADDR_HD_MASK, ADDR_HD_SHIFT, FIRST_BIT, HANDOVER_BIT, INSTR_MASK, M2S_REST_MASK,
-    M2S_REST_SHIFT, MASTER_MASK, MASTER_SHIFT, REQ_HD_MASK, REQ_HD_SHIFT, S2M_HD_MASK,
-    S2M_HD_SHIFT, S2M_SEL_BIT,
+    ActivityTrace, ADDR_HD_MASK, ADDR_HD_SHIFT, FIRST_BIT, HANDOVER_BIT, M2S_REST_MASK,
+    M2S_REST_SHIFT, REQ_HD_MASK, REQ_HD_SHIFT, S2M_HD_MASK, S2M_HD_SHIFT, S2M_SEL_BIT,
 };
 
 // Table strides cover every value the packed fields can carry (the fields
@@ -27,11 +25,8 @@ const M2S_STRIDE: usize = (ADDR_HD_MASK as usize) + (M2S_REST_MASK as usize) + 1
 const S2M_STRIDE: usize = (S2M_HD_MASK as usize) + 1; // 64
 const ARB_STRIDE: usize = (REQ_HD_MASK as usize) + 1; // 64
 
-/// Masters the per-master accumulator can address (the packed master field
-/// is 8 bits wide).
-const MASTER_SLOTS: usize = (MASTER_MASK as usize) + 1;
-
-/// Replays recorded activity traces through one [`AhbPowerModel`] variant.
+/// One [`AhbPowerModel`] variant as lookup tables over the packed
+/// activity word: the energy kernel of both live runs and replays.
 ///
 /// Construction is cheap (a few hundred energy-function calls); reuse one
 /// engine across traces. See the [module docs](crate::replay) for an
@@ -69,6 +64,29 @@ impl ReplayEngine {
         ReplayEngine { dec, m2s, s2m, arb }
     }
 
+    /// The energy of the cycle packed into `w`: the value
+    /// [`AhbPowerModel::cycle_energy`] gives for the same wires, bit for
+    /// bit, and zero for the first cycle of a stream.
+    #[inline]
+    pub(crate) fn energy(&self, w: u64) -> BlockEnergy {
+        let ho = ((w >> HANDOVER_BIT) & 1) as usize;
+        let sel = ((w >> S2M_SEL_BIT) & 1) as usize;
+        // 1.0 for every cycle with a predecessor; 0.0 for the first cycle,
+        // zeroing its energy (1.0 * x == x and 0.0 * x == +0.0 for the
+        // non-negative finite table entries, so bits are preserved).
+        let live = 1.0 - ((w >> FIRST_BIT) & 1) as u32 as f64;
+        let addr_hd = ((w >> ADDR_HD_SHIFT) & ADDR_HD_MASK) as usize;
+        let m2s_rest = ((w >> M2S_REST_SHIFT) & M2S_REST_MASK) as usize;
+        let s2m_hd = ((w >> S2M_HD_SHIFT) & S2M_HD_MASK) as usize;
+        let req_hd = ((w >> REQ_HD_SHIFT) & REQ_HD_MASK) as usize;
+        BlockEnergy {
+            dec: live * self.dec[addr_hd],
+            m2s: live * self.m2s[ho * M2S_STRIDE + addr_hd + m2s_rest],
+            s2m: live * self.s2m[sel * S2M_STRIDE + s2m_hd],
+            arb: live * self.arb[ho * ARB_STRIDE + req_hd],
+        }
+    }
+
     /// Replays `trace` at full fidelity (ledgers, per-master attribution
     /// and windowed power points) into a fresh outcome.
     pub fn replay(&self, trace: &ActivityTrace) -> ReplayOutcome {
@@ -77,58 +95,28 @@ impl ReplayEngine {
         out
     }
 
-    /// Replays `trace` into a caller-owned outcome, reusing its buffers.
-    /// After a warm-up replay the hot loop performs no allocation, so
-    /// sweeping N model variants over one trace touches the allocator at
-    /// most N times total (outcome construction), not per cycle.
+    /// Replays `trace` into a caller-owned outcome. A fast outcome
+    /// ([`ReplayOutcome::new`]) performs no allocation here, so sweeping N
+    /// model variants over one trace touches the allocator only to build
+    /// the outcomes, not per cycle.
     pub fn replay_into(&self, trace: &ActivityTrace, out: &mut ReplayOutcome) {
-        out.reset(trace);
-        if out.trace.is_some() {
-            self.kernel::<true>(trace, out);
-        } else {
-            self.kernel::<false>(trace, out);
-        }
-    }
-
-    fn kernel<const WINDOWS: bool>(&self, trace: &ActivityTrace, out: &mut ReplayOutcome) {
-        for &w in trace.words() {
-            let instr = (w & INSTR_MASK) as usize;
-            let master = ((w >> MASTER_SHIFT) & MASTER_MASK) as usize;
-            let ho = ((w >> HANDOVER_BIT) & 1) as usize;
-            let sel = ((w >> S2M_SEL_BIT) & 1) as usize;
-            // 1.0 for every cycle with a predecessor; 0.0 for the first
-            // cycle, zeroing its energy exactly as the live path does
-            // (1.0 * x == x and 0.0 * x == +0.0 for the non-negative
-            // finite table entries, so bits are preserved either way).
-            let live = ((w >> FIRST_BIT) & 1) as u32 as f64;
-            let live = 1.0 - live;
-            let addr_hd = ((w >> ADDR_HD_SHIFT) & ADDR_HD_MASK) as usize;
-            let m2s_rest = ((w >> M2S_REST_SHIFT) & M2S_REST_MASK) as usize;
-            let s2m_hd = ((w >> S2M_HD_SHIFT) & S2M_HD_MASK) as usize;
-            let req_hd = ((w >> REQ_HD_SHIFT) & REQ_HD_MASK) as usize;
-            let dec = live * self.dec[addr_hd];
-            let m2s = live * self.m2s[ho * M2S_STRIDE + addr_hd + m2s_rest];
-            let s2m = live * self.s2m[sel * S2M_STRIDE + s2m_hd];
-            let arb = live * self.arb[ho * ARB_STRIDE + req_hd];
-            // Left-associated like BlockEnergy::total(): ((dec+m2s)+s2m)+arb.
-            let total = dec + m2s + s2m + arb;
-            out.counts[instr] += 1;
-            out.energy[instr] += total;
-            out.totals.dec += dec;
-            out.totals.m2s += m2s;
-            out.totals.s2m += s2m;
-            out.totals.arb += arb;
-            out.per_master[master] += total;
-            out.max_master = out.max_master.max(master);
-            if WINDOWS {
-                if let Some(t) = &mut out.trace {
-                    t.push(BlockEnergy { dec, m2s, s2m, arb });
+        out.book = EnergyBook::new();
+        out.trace = out
+            .windows
+            .then(|| PowerTrace::new(trace.window_cycles, trace.f_clk_hz));
+        let book = &mut out.book;
+        match &mut out.trace {
+            None => {
+                for &w in trace.words() {
+                    book.book(w, self.energy(w));
                 }
             }
-        }
-        out.cycles = trace.cycles();
-        if WINDOWS {
-            if let Some(t) = &mut out.trace {
+            Some(t) => {
+                for &w in trace.words() {
+                    let energy = self.energy(w);
+                    book.book(w, energy);
+                    t.push(energy);
+                }
                 t.finish();
             }
         }
@@ -140,14 +128,8 @@ impl ReplayEngine {
 /// recording.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
-    counts: [u64; INSTRUCTION_COUNT],
-    energy: [f64; INSTRUCTION_COUNT],
-    totals: BlockEnergy,
-    cycles: u64,
-    per_master: [f64; MASTER_SLOTS],
-    max_master: usize,
+    book: EnergyBook,
     windows: bool,
-    trace_params: (u64, u64),
     trace: Option<PowerTrace>,
 }
 
@@ -157,14 +139,8 @@ impl ReplayOutcome {
     /// series.
     pub fn new() -> Self {
         ReplayOutcome {
-            counts: [0; INSTRUCTION_COUNT],
-            energy: [0.0; INSTRUCTION_COUNT],
-            totals: BlockEnergy::default(),
-            cycles: 0,
-            per_master: [0.0; MASTER_SLOTS],
-            max_master: 0,
+            book: EnergyBook::new(),
             windows: false,
-            trace_params: (0, 0),
             trace: None,
         }
     }
@@ -177,58 +153,32 @@ impl ReplayOutcome {
         out
     }
 
-    fn reset(&mut self, trace: &ActivityTrace) {
-        self.counts = [0; INSTRUCTION_COUNT];
-        self.energy = [0.0; INSTRUCTION_COUNT];
-        self.totals = BlockEnergy::default();
-        self.cycles = 0;
-        self.per_master = [0.0; MASTER_SLOTS];
-        self.max_master = 0;
-        if self.windows {
-            let params = (trace.window_cycles, trace.f_clk_hz.to_bits());
-            match &mut self.trace {
-                Some(t) if self.trace_params == params => t.reset(),
-                _ => {
-                    self.trace = Some(PowerTrace::new(trace.window_cycles, trace.f_clk_hz));
-                    self.trace_params = params;
-                }
-            }
-        } else {
-            self.trace = None;
-        }
-    }
-
     /// Per-instruction ledger (Table 1), bit-identical to the live run for
     /// a same-model replay.
-    pub fn ledger(&self) -> InstructionLedger {
-        InstructionLedger::from_parts(self.counts, self.energy)
+    pub fn ledger(&self) -> &InstructionLedger {
+        &self.book.ledger
     }
 
     /// Per-block ledger (Fig. 6).
-    pub fn blocks(&self) -> BlockLedger {
-        BlockLedger::from_parts(self.totals, self.cycles)
+    pub fn blocks(&self) -> &BlockLedger {
+        &self.book.blocks
     }
 
-    /// Total energy, joules (same accumulation order as
-    /// [`InstructionLedger::total_energy`]).
+    /// Total energy, joules.
     pub fn total_energy(&self) -> f64 {
-        self.energy.iter().sum()
+        self.book.ledger.total_energy()
     }
 
     /// Replayed cycles.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.book.blocks.cycles()
     }
 
     /// Per-master energy attribution, joules; the slice length matches the
     /// live session's (one past the highest observed owner), empty when
     /// nothing was replayed.
     pub fn per_master_energy(&self) -> &[f64] {
-        if self.cycles == 0 {
-            &[]
-        } else {
-            &self.per_master[..=self.max_master]
-        }
+        self.book.per_master_energy()
     }
 
     /// Windowed power points; empty unless the outcome was created

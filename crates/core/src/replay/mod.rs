@@ -1,22 +1,19 @@
 //! Trace-once / estimate-many power emulation (record + replay).
 //!
-//! Every macromodel evaluation normally re-runs the cycle-accurate bus
-//! simulation, so a design-space sweep costs `O(points × sim)`. This module
-//! decouples the two phases the way hardware-accelerated power emulation
-//! does: an [`ActivityRecorder`] taps a live [`PowerSession`](crate::PowerSession)
-//! and captures one compact **activity trace** per workload — the
-//! per-cycle instruction, bus owner and per-sub-block Hamming distances,
-//! packed into one `u64` word per cycle and delta/varint encoded on disk —
-//! and a [`ReplayEngine`] then re-estimates energy for
-//! any [`AhbPowerModel`](crate::AhbPowerModel) variant by running a
-//! branchless table-driven kernel over the recording, without touching the
-//! simulator again. Sweeps become `O(sim + points × replay)` where replay
-//! is orders of magnitude cheaper than simulation.
+//! Each cycle the power FSM packs everything the macromodels consume (the
+//! instruction, bus owner, handover/select flags and per-sub-block Hamming
+//! distances) into one `u64` **activity word**, and a [`ReplayEngine`]'s
+//! branchless lookup tables turn the word into energy. An
+//! [`ActivityRecorder`] on a live [`PowerSession`](crate::PowerSession)
+//! keeps those words (delta/varint encoded on disk), so the engine can
+//! re-estimate energy for any [`AhbPowerModel`](crate::AhbPowerModel)
+//! variant without touching the simulator again. Sweeps become
+//! `O(sim + points × replay)` where replay is orders of magnitude cheaper
+//! than simulation.
 //!
 //! Replaying a trace through the *same* model that recorded it reproduces
-//! the live session's ledgers **bit for bit**: the engine's lookup tables
-//! are built by calling the very macromodel energy functions the live path
-//! calls, and the kernel accumulates in the same order.
+//! the live session's ledgers **bit for bit**: both look up the same tables
+//! with the same words and book through the same accumulator in order.
 //!
 //! # Examples
 //!
@@ -56,8 +53,8 @@ use ahbpower_ahb::BusSnapshot;
 
 use crate::activity::hamming;
 use crate::config::AnalysisConfig;
-use crate::instruction::Instruction;
-use crate::model::resp_bits;
+use crate::instruction::{Instruction, INSTRUCTION_COUNT};
+use crate::model::{resp_bits, ADDR_BITS, CTRL_BITS, RDATA_BITS, RESP_BITS, WDATA_BITS};
 
 pub use engine::{ReplayEngine, ReplayOutcome};
 
@@ -70,10 +67,8 @@ const TRACE_MAGIC: [u8; 8] = *b"AHBREPLY";
 /// Fixed byte length of the serialized header (magic through checksum).
 const HEADER_LEN: usize = 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
 
-// Packed activity-word layout (one u64 per cycle). Field widths are chosen
-// so the paper's 32-bit bus can never overflow them: addr HD <= 32, control
-// HD <= 9 + write-data HD <= 32 (rest <= 41), read-data + response HD <= 35,
-// request HD <= 32. Bits 40..64 are reserved and must be zero.
+// Packed activity-word layout (one u64 per cycle). Bits 40..64 are
+// reserved and must be zero.
 pub(crate) const INSTR_MASK: u64 = 0xF; // bits 0..4
 pub(crate) const MASTER_SHIFT: u32 = 4; // bits 4..12
 pub(crate) const MASTER_MASK: u64 = 0xFF;
@@ -89,6 +84,41 @@ pub(crate) const S2M_HD_MASK: u64 = 0x3F;
 pub(crate) const REQ_HD_SHIFT: u32 = 34; // bits 34..40
 pub(crate) const REQ_HD_MASK: u64 = 0x3F;
 const RESERVED_SHIFT: u32 = 40;
+
+// Every field holds the widest value a `BusSnapshot` (u32 wires, u8 master
+// id) can put in it, so packing needs no runtime range check.
+const _: () = {
+    assert!(ADDR_HD_MASK >= ADDR_BITS as u64);
+    assert!(M2S_REST_MASK >= (CTRL_BITS + WDATA_BITS) as u64);
+    assert!(S2M_HD_MASK >= (RDATA_BITS + RESP_BITS) as u64);
+    assert!(REQ_HD_MASK >= u32::BITS as u64);
+    assert!(MASTER_MASK >= u8::MAX as u64);
+    assert!(INSTRUCTION_COUNT as u64 <= INSTR_MASK + 1);
+};
+
+/// Packs one cycle's activity word: `instruction`, the bus owner and the
+/// wire activity of `snap` relative to `prev`, exactly the inputs of
+/// [`AhbPowerModel::cycle_energy`](crate::AhbPowerModel::cycle_energy).
+/// The first cycle (no `prev`) carries only the flag that zeroes its energy.
+pub(crate) fn pack_word(
+    prev: Option<&BusSnapshot>,
+    snap: &BusSnapshot,
+    instruction: Instruction,
+) -> u64 {
+    let head = instruction.index() as u64 | (u64::from(snap.hmaster.0) << MASTER_SHIFT);
+    let Some(p) = prev else {
+        return head | (1 << FIRST_BIT);
+    };
+    let hd = |a: u32, b: u32| u64::from(hamming(u64::from(a), u64::from(b)));
+    let m2s_rest = hd(p.control_bits(), snap.control_bits()) + hd(p.hwdata, snap.hwdata);
+    let s2m_hd = hd(p.hrdata, snap.hrdata) + hd(resp_bits(p), resp_bits(snap));
+    head | (u64::from(snap.hmaster != p.hmaster) << HANDOVER_BIT)
+        | (u64::from(snap.hsel_bits() != p.hsel_bits()) << S2M_SEL_BIT)
+        | (hd(p.haddr, snap.haddr) << ADDR_HD_SHIFT)
+        | (m2s_rest << M2S_REST_SHIFT)
+        | (s2m_hd << S2M_HD_SHIFT)
+        | (hd(p.hbusreq, snap.hbusreq) << REQ_HD_SHIFT)
+}
 
 /// Why an activity trace could not be decoded. Corrupt input is always a
 /// clean error, never a panic.
@@ -170,10 +200,6 @@ impl ActivityTrace {
     /// within [`REPLAY_TRACE_VERSION`]).
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    pub(crate) fn push_word(&mut self, w: u64) {
-        self.words.push(w);
     }
 
     /// Serializes the trace: a fixed header (magic, version, topology,
@@ -287,10 +313,10 @@ impl ActivityTrace {
 /// [`PowerSession`](crate::PowerSession) drives when built
 /// [`with_recorder`](crate::PowerSession::with_recorder).
 ///
-/// The recorder keeps its own previous-snapshot copy and recomputes exactly
-/// the Hamming distances
-/// [`AhbPowerModel::cycle_energy`](crate::AhbPowerModel::cycle_energy)
-/// consumes, so a replay sees the same model inputs the live path saw.
+/// A session pushes the word its power FSM already packed and booked, so
+/// recording adds no second pass over the wires. [`ActivityRecorder::record`]
+/// serves callers that drive the FSM themselves: it packs the same word
+/// from the recorder's own copy of the previous snapshot.
 #[derive(Debug, Clone)]
 pub struct ActivityRecorder {
     prev: Option<BusSnapshot>,
@@ -307,33 +333,15 @@ impl ActivityRecorder {
     }
 
     /// Records one observed cycle: the recognized `instruction` plus the
-    /// wire activity of `snap` relative to the previous cycle.
+    /// wire activity of `snap` relative to the previous recorded cycle.
     pub fn record(&mut self, snap: &BusSnapshot, instruction: Instruction) {
-        let mut w = instruction.index() as u64;
-        w |= (u64::from(snap.hmaster.0) & MASTER_MASK) << MASTER_SHIFT;
-        match &self.prev {
-            None => {
-                // First cycle: no predecessor, so the live path books zero
-                // energy; the flag makes the replay kernel do the same.
-                w |= 1 << FIRST_BIT;
-            }
-            Some(p) => {
-                let addr_hd = hamming(u64::from(p.haddr), u64::from(snap.haddr));
-                let m2s_rest = hamming(u64::from(p.control_bits()), u64::from(snap.control_bits()))
-                    + hamming(u64::from(p.hwdata), u64::from(snap.hwdata));
-                let s2m_hd = hamming(u64::from(p.hrdata), u64::from(snap.hrdata))
-                    + hamming(u64::from(resp_bits(p)), u64::from(resp_bits(snap)));
-                let req_hd = hamming(u64::from(p.hbusreq), u64::from(snap.hbusreq));
-                w |= u64::from(snap.hmaster != p.hmaster) << HANDOVER_BIT;
-                w |= u64::from(snap.hsel_bits() != p.hsel_bits()) << S2M_SEL_BIT;
-                w |= u64::from(addr_hd) << ADDR_HD_SHIFT;
-                w |= u64::from(m2s_rest) << M2S_REST_SHIFT;
-                w |= u64::from(s2m_hd) << S2M_HD_SHIFT;
-                w |= u64::from(req_hd) << REQ_HD_SHIFT;
-            }
-        }
-        self.trace.push_word(w);
+        self.push(pack_word(self.prev.as_ref(), snap, instruction));
         self.prev = Some(*snap);
+    }
+
+    /// Appends a word already packed by the power FSM.
+    pub(crate) fn push(&mut self, word: u64) {
+        self.trace.words.push(word);
     }
 
     /// Cycles recorded so far.

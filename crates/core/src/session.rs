@@ -129,7 +129,7 @@ impl PowerSession {
             x.observe(snap, &rec);
         }
         if let Some(r) = &mut self.recorder {
-            r.record(snap, rec.instruction);
+            r.push(rec.word);
         }
         if let Some(t) = &mut self.telemetry {
             t.observe_bus(snap);

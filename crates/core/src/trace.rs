@@ -106,16 +106,6 @@ impl PowerTrace {
         self.flush();
     }
 
-    /// Clears the accumulator, cycle counter and completed points while
-    /// retaining the point buffer's capacity, so a reused trace refills
-    /// without reallocating (the replay engine's buffer-reuse hook).
-    pub fn reset(&mut self) {
-        self.acc = BlockEnergy::default();
-        self.in_window = 0;
-        self.cycle = 0;
-        self.points.clear();
-    }
-
     /// The completed windows so far.
     pub fn points(&self) -> &[TracePoint] {
         &self.points

@@ -360,6 +360,7 @@ mod tests {
                 s2m: 0.0,
                 arb: x,
             },
+            word: 0,
         }
     }
 

@@ -75,7 +75,8 @@ echo "== overhead ladder gate (200k cycles) =="
 # `repro overhead` times eight session configurations ("rungs") 25 times
 # round-robin and gates each on the median per-round ratio over its
 # parent rung: telemetry <= 35% over the plain power session,
-# observatory <= 5% over telemetry+anomaly. It also exits 1 if any rung
+# observatory <= 5% over telemetry+anomaly, the activity recorder <= 12%
+# over the plain power session. It also exits 1 if any rung
 # books other energy than the plain power session. Run from a scratch
 # directory so the committed BENCH_overhead.json is not rewritten.
 MANIFEST="$PWD/Cargo.toml"
@@ -92,9 +93,9 @@ if ! grep -q "^verdict: ok" "$OVERHEAD_DIR/overhead.log"; then
     echo "  ERROR: repro overhead printed no 'verdict: ok' line" >&2
     exit 1
 fi
-grep -E "^(telemetry|observatory) " "$OVERHEAD_DIR/overhead.log" | sed 's/^/  /'
+grep -E "^(telemetry|observatory|record) " "$OVERHEAD_DIR/overhead.log" | sed 's/^/  /'
 rm -rf "$OVERHEAD_DIR"
-echo "  overhead ok (telemetry <= 35%, observatory <= 5%, every rung's energy bit-identical)"
+echo "  overhead ok (telemetry <= 35%, observatory <= 5%, record <= 12%, every rung's energy bit-identical)"
 
 echo "== parallel sweep (smoke, 2 threads, 20k cycles) =="
 cargo run --release -p ahbpower-bench --bin repro -- sweep --cycles 20000 --jobs 2 > /dev/null

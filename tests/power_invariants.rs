@@ -1,8 +1,8 @@
 //! Property-based invariants of the power-analysis layer.
 
 use ahbpower::{
-    hamming, AhbPowerModel, AnalysisConfig, BlockEnergy, GlobalProbe, InlineProbe, PowerProbe,
-    PowerSession, PowerTrace, TechParams,
+    hamming, AhbPowerModel, AnalysisConfig, BlockEnergy, GlobalProbe, InlineProbe, PowerFsm,
+    PowerProbe, PowerSession, PowerTrace, SubBlock, TechParams,
 };
 use ahbpower_ahb::{pack_wires, BusSnapshot, HBurst, HResp, HSize, HTrans, MasterId};
 use proptest::prelude::*;
@@ -45,6 +45,111 @@ fn arb_snapshot() -> impl Strategy<Value = BusSnapshot> {
                 }
             },
         )
+}
+
+const TRANS: [HTrans; 4] = [HTrans::Idle, HTrans::Busy, HTrans::NonSeq, HTrans::Seq];
+const SIZES: [HSize; 3] = [HSize::Byte, HSize::Half, HSize::Word];
+const BURSTS: [HBurst; 8] = [
+    HBurst::Single,
+    HBurst::Incr,
+    HBurst::Wrap4,
+    HBurst::Incr4,
+    HBurst::Wrap8,
+    HBurst::Incr8,
+    HBurst::Wrap16,
+    HBurst::Incr16,
+];
+const RESPS: [HResp; 4] = [HResp::Okay, HResp::Error, HResp::Retry, HResp::Split];
+
+/// A snapshot with every wire the power model reads drawn at full width,
+/// including all 32 HBUSREQ and HSEL lines; the owner is any of 8 masters
+/// (reduced modulo the bus's master count by the caller).
+fn full_width_snapshot() -> impl Strategy<Value = BusSnapshot> {
+    (
+        (any::<u32>(), 0usize..4, any::<bool>(), 0usize..3, 0usize..8),
+        (any::<u32>(), any::<u32>(), any::<bool>(), 0usize..4),
+        (0u8..8, any::<u32>(), any::<u32>()),
+    )
+        .prop_map(
+            |(
+                (haddr, trans, hwrite, size, burst),
+                (hwdata, hrdata, hready, resp),
+                (master, hbusreq, hsel),
+            )| BusSnapshot {
+                cycle: 0,
+                haddr,
+                htrans: TRANS[trans],
+                hwrite,
+                hsize: SIZES[size],
+                hburst: BURSTS[burst],
+                hwdata,
+                hrdata,
+                hready,
+                hresp: RESPS[resp],
+                hmaster: MasterId(master),
+                hmastlock: false,
+                hbusreq,
+                hgrant: 1 << master,
+                hsel,
+            },
+        )
+}
+
+/// Feeds `snaps` to a power FSM and checks every cycle's booked energy
+/// against [`AhbPowerModel::cycle_energy`] bit for bit, under the model in
+/// force at that cycle. `inject` scales one block's coefficients before
+/// the given cycle, as `--inject` does mid-run.
+fn assert_fsm_matches_oracle(
+    model: AhbPowerModel,
+    snaps: &[BusSnapshot],
+    inject: Option<(usize, SubBlock, f64)>,
+) -> Result<(), TestCaseError> {
+    let bits = |e: BlockEnergy| [e.dec, e.m2s, e.s2m, e.arb].map(f64::to_bits);
+    let mut oracle = model.clone();
+    let mut fsm = PowerFsm::new(model);
+    let mut prev: Option<BusSnapshot> = None;
+    for (i, snap) in snaps.iter().enumerate() {
+        if let Some((at, block, factor)) = inject {
+            if i == at {
+                fsm.scale_block(block, factor);
+                oracle.scale_block(block, factor);
+            }
+        }
+        let want = prev.map_or(BlockEnergy::default(), |p| oracle.cycle_energy(&p, snap));
+        let got = fsm.observe(snap).energy;
+        prop_assert_eq!(bits(got), bits(want), "cycle {i}: {got:?} vs {want:?}");
+        prev = Some(*snap);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn fsm_energy_is_the_cycle_energy_oracle_at_every_bus_size(
+        snaps in prop::collection::vec(full_width_snapshot(), 8..32),
+        inject_at in 1usize..7,
+        block in 0usize..4,
+        factor in prop_oneof![0.0f64..0.9, 1.1f64..4.0],
+    ) {
+        let tech = TechParams::default();
+        for m in 2..=8usize {
+            for s in 2..=8usize {
+                let snaps: Vec<BusSnapshot> = snaps
+                    .iter()
+                    .map(|&x| {
+                        let owner = x.hmaster.0 % m as u8;
+                        BusSnapshot { hmaster: MasterId(owner), hgrant: 1 << owner, ..x }
+                    })
+                    .collect();
+                let model = AhbPowerModel::new(m, s, &tech);
+                assert_fsm_matches_oracle(model.clone(), &snaps, None)?;
+                let inject = (inject_at, SubBlock::ALL[block], factor);
+                assert_fsm_matches_oracle(model, &snaps, Some(inject))?;
+            }
+        }
+    }
 }
 
 proptest! {
@@ -163,6 +268,58 @@ fn window_durations(trace: &PowerTrace, n: u64, window: u64) -> Vec<f64> {
     }
     assert_eq!(out.len(), trace.points().len());
     out
+}
+
+#[test]
+fn every_bit_flipped_reaches_the_widest_distances() {
+    let quiet = BusSnapshot {
+        cycle: 0,
+        haddr: 0,
+        htrans: HTrans::Idle,
+        hwrite: false,
+        hsize: HSize::Half,
+        hburst: HBurst::Single,
+        hwdata: 0,
+        hrdata: 0,
+        hready: false,
+        hresp: HResp::Okay,
+        hmaster: MasterId(0),
+        hmastlock: false,
+        hbusreq: 0,
+        hgrant: 1,
+        hsel: 0,
+    };
+    let loud = BusSnapshot {
+        cycle: 1,
+        haddr: u32::MAX,
+        htrans: HTrans::Seq,
+        hwrite: true,
+        hsize: HSize::Word,
+        hburst: HBurst::Incr16,
+        hwdata: u32::MAX,
+        hrdata: u32::MAX,
+        hready: true,
+        hresp: HResp::Split,
+        hmaster: MasterId(1),
+        hmastlock: false,
+        hbusreq: u32::MAX,
+        hgrant: 2,
+        hsel: u32::MAX,
+    };
+    let hd = |a: u32, b: u32| hamming(u64::from(a), u64::from(b));
+    let resp = |s: &BusSnapshot| u32::from(s.hresp.bits()) | (u32::from(s.hready) << 2);
+    assert_eq!(hd(quiet.haddr, loud.haddr), 32, "address");
+    // HSIZE's encodings (000, 001, 010) differ in at most two bits, so
+    // the 9-bit control bundle tops out at 8 flipped bits.
+    let m2s_rest = hd(quiet.control_bits(), loud.control_bits()) + hd(quiet.hwdata, loud.hwdata);
+    assert_eq!(m2s_rest, 40, "M2S control + write data");
+    let s2m = hd(quiet.hrdata, loud.hrdata) + hd(resp(&quiet), resp(&loud));
+    assert_eq!(s2m, 35, "S2M read data + response");
+    assert_eq!(hd(quiet.hbusreq, loud.hbusreq), 32, "request");
+    let model = AhbPowerModel::new(8, 8, &TechParams::default());
+    for pair in [[quiet, loud], [loud, quiet]] {
+        assert_fsm_matches_oracle(model.clone(), &pair, None).expect("table matches oracle");
+    }
 }
 
 #[test]
