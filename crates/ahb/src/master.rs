@@ -159,81 +159,84 @@ struct Beat {
     lock: bool,
 }
 
-fn flatten(ops: &[Op], lock: bool, out: &mut Vec<Slot>) {
-    for op in ops {
-        match op {
-            Op::Idle(n) => out.push(Slot::Gap(*n)),
-            Op::Write { addr, value, size } => out.push(Slot::Beat(Beat {
-                addr: *addr,
-                write: true,
-                size: *size,
-                burst: HBurst::Single,
-                seq: false,
-                wdata: *value,
-                lock,
-            })),
-            Op::Read { addr, size } => out.push(Slot::Beat(Beat {
-                addr: *addr,
-                write: false,
-                size: *size,
-                burst: HBurst::Single,
-                seq: false,
-                wdata: 0,
-                lock,
-            })),
-            Op::Burst {
-                write,
-                burst,
-                addr,
-                data,
-                size,
-                busy_between,
-            } => {
-                let n_beats = match burst.beats() {
-                    Some(b) => b,
-                    None if *burst == HBurst::Single => 1,
-                    None => data.len().max(1),
-                };
-                assert!(
-                    *burst == HBurst::Incr || data.len() == n_beats || !*write,
-                    "write burst data length {} does not match {} beats",
-                    data.len(),
-                    n_beats
-                );
-                let addrs = burst_addresses(*addr, *size, *burst, n_beats);
-                for (i, &a) in addrs.iter().enumerate() {
-                    if i > 0 && *busy_between > 0 {
-                        for _ in 0..*busy_between {
-                            out.push(Slot::Busy {
-                                addr: a,
-                                write: *write,
-                                size: *size,
-                                burst: *burst,
-                                lock,
-                            });
-                        }
+/// Compiles one op onto the end of `out`. Locked members are compiled in
+/// place, so a locked sequence needs no buffer of its own.
+fn compile(op: &Op, lock: bool, out: &mut Vec<Slot>) {
+    match op {
+        Op::Idle(n) => out.push(Slot::Gap(*n)),
+        Op::Write { addr, value, size } => out.push(Slot::Beat(Beat {
+            addr: *addr,
+            write: true,
+            size: *size,
+            burst: HBurst::Single,
+            seq: false,
+            wdata: *value,
+            lock,
+        })),
+        Op::Read { addr, size } => out.push(Slot::Beat(Beat {
+            addr: *addr,
+            write: false,
+            size: *size,
+            burst: HBurst::Single,
+            seq: false,
+            wdata: 0,
+            lock,
+        })),
+        Op::Burst {
+            write,
+            burst,
+            addr,
+            data,
+            size,
+            busy_between,
+        } => {
+            let n_beats = match burst.beats() {
+                Some(b) => b,
+                None if *burst == HBurst::Single => 1,
+                None => data.len().max(1),
+            };
+            assert!(
+                *burst == HBurst::Incr || data.len() == n_beats || !*write,
+                "write burst data length {} does not match {} beats",
+                data.len(),
+                n_beats
+            );
+            let addrs = burst_addresses(*addr, *size, *burst, n_beats);
+            for (i, &a) in addrs.iter().enumerate() {
+                if i > 0 {
+                    for _ in 0..*busy_between {
+                        out.push(Slot::Busy {
+                            addr: a,
+                            write: *write,
+                            size: *size,
+                            burst: *burst,
+                            lock,
+                        });
                     }
-                    out.push(Slot::Beat(Beat {
-                        addr: a,
-                        write: *write,
-                        size: *size,
-                        burst: *burst,
-                        seq: i > 0,
-                        wdata: data.get(i).copied().unwrap_or(0),
-                        lock,
-                    }));
                 }
+                out.push(Slot::Beat(Beat {
+                    addr: a,
+                    write: *write,
+                    size: *size,
+                    burst: *burst,
+                    seq: i > 0,
+                    wdata: data.get(i).copied().unwrap_or(0),
+                    lock,
+                }));
             }
-            Op::Locked(inner) => {
-                let mut nested = Vec::new();
-                flatten(inner, true, &mut nested);
-                // HLOCK drops with the address phase of the last transfer.
-                if let Some(last_beat) = nested.iter().rposition(|s| matches!(s, Slot::Beat(_))) {
-                    if let Slot::Beat(b) = &mut nested[last_beat] {
-                        b.lock = false;
-                    }
-                }
-                out.extend(nested);
+        }
+        Op::Locked(inner) => {
+            let start = out.len();
+            for op in inner {
+                compile(op, true, out);
+            }
+            // HLOCK drops with the address phase of the last transfer.
+            if let Some(Slot::Beat(b)) = out[start..]
+                .iter_mut()
+                .rev()
+                .find(|s| matches!(s, Slot::Beat(_)))
+            {
+                b.lock = false;
             }
         }
     }
@@ -283,10 +286,14 @@ pub struct ScriptedMaster {
 }
 
 impl ScriptedMaster {
-    /// Compiles a script into a master.
-    pub fn new(ops: Vec<Op>) -> Self {
-        let mut script = Vec::new();
-        flatten(&ops, false, &mut script);
+    /// Compiles a script into a master, one op at a time as the stream
+    /// yields it; no op outlives its own compilation.
+    pub fn new(ops: impl IntoIterator<Item = Op>) -> Self {
+        let ops = ops.into_iter();
+        let mut script = Vec::with_capacity(ops.size_hint().0);
+        for op in ops {
+            compile(&op, false, &mut script);
+        }
         let gap_left = match script.first() {
             Some(Slot::Gap(n)) => *n,
             _ => 0,
@@ -853,6 +860,79 @@ mod tests {
         let o1 = m.cycle(&granted_ready());
         assert!(!o1.lock, "HLOCK drops with the last locked address phase");
         assert_eq!(o1.trans, HTrans::NonSeq);
+    }
+
+    /// Runs `ops` on a one-master bus and returns HMASTLOCK of every
+    /// issued beat (NONSEQ/SEQ address phases), in issue order.
+    fn issued_beat_locks(ops: Vec<Op>) -> Vec<bool> {
+        use crate::bus::AhbBusBuilder;
+        use crate::decoder::AddressMap;
+        use crate::slave::MemorySlave;
+        let mut bus = AhbBusBuilder::new(AddressMap::evenly_spaced(2, 0x1000))
+            .master(Box::new(ScriptedMaster::new(ops)))
+            .slave(Box::new(MemorySlave::new(0x1000, 0, 0)))
+            .slave(Box::new(MemorySlave::new(0x1000, 0, 0)))
+            .build()
+            .unwrap();
+        let mut locks = Vec::new();
+        for _ in 0..200 {
+            let snap = bus.step();
+            if snap.htrans.is_transfer() && snap.hready {
+                locks.push(snap.hmastlock);
+            }
+            if bus.all_masters_done() {
+                break;
+            }
+        }
+        assert!(bus.all_masters_done(), "script did not finish");
+        locks
+    }
+
+    #[test]
+    fn locked_sequences_drop_hlock_on_their_last_beat() {
+        // Nested: the inner sequence drops HLOCK on its own last beat, and
+        // the outer sequence on the outer last beat.
+        let nested = vec![Op::Locked(vec![
+            Op::write(0x0, 1),
+            Op::Locked(vec![Op::write(0x4, 2), Op::read(0x4)]),
+            Op::read(0x0),
+        ])];
+        assert_eq!(issued_beat_locks(nested), [true, true, false, false]);
+
+        // Ending in a BUSY-padded burst: the BUSY slots between beats do
+        // not count; the burst's final beat drops HLOCK.
+        let busy_tail = vec![Op::Locked(vec![
+            Op::write(0x40, 9),
+            Op::Burst {
+                write: true,
+                burst: HBurst::Incr4,
+                addr: 0x0,
+                data: vec![1, 2, 3, 4],
+                size: HSize::Word,
+                busy_between: 1,
+            },
+        ])];
+        assert_eq!(
+            issued_beat_locks(busy_tail),
+            [true, true, true, true, false]
+        );
+
+        // Last slot an IDLE gap: the last *beat* before it drops HLOCK,
+        // and the unlocked write after the sequence stays unlocked.
+        let idle_tail = vec![
+            Op::Locked(vec![Op::write(0x0, 1), Op::read(0x0), Op::Idle(3)]),
+            Op::write(0x8, 2),
+        ];
+        assert_eq!(issued_beat_locks(idle_tail), [true, false, false]);
+
+        // Empty: compiles to nothing, so it neither locks the next beat nor
+        // unlocks an enclosing sequence's earlier beat.
+        let empty = vec![
+            Op::Locked(vec![]),
+            Op::Locked(vec![Op::write(0x0, 1), Op::Locked(vec![]), Op::read(0x0)]),
+            Op::write(0x10, 5),
+        ];
+        assert_eq!(issued_beat_locks(empty), [true, false, false]);
     }
 
     #[test]

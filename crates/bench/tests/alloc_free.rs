@@ -12,6 +12,10 @@
 //!    remaining amortized allocation site);
 //! 3. on the full paper testbench the allocation count does not scale with
 //!    the cycle count (bounded bookkeeping, not per-cycle garbage).
+//!
+//! The last phase pins the testbench build: the masters compile the
+//! generators' op streams, so building allocates at most once per op and
+//! never holds a whole `Vec<Op>` script.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -234,4 +238,27 @@ fn hot_path_does_not_allocate_per_cycle() {
         "observatory ingest must not allocate in steady state"
     );
     assert_eq!(obs.windows_ingested(), 1_200, "every window closed");
+
+    // --- 7. Testbench build: at most one allocation per scripted op. -----
+    // Each locked WRITE-READ pair still arrives as one small `Op::Locked`
+    // block, freed as soon as it is compiled; everything else is the slot
+    // arrays growing by doubling and the bus itself. Holding the scripts
+    // as `Vec<Op>`s and flattening each pair through a nested buffer cost
+    // about two allocations per pair.
+    use ahbpower_workloads::PaperTestbench;
+    let tb = PaperTestbench::sized_for(20_000, 2003);
+    let ops: usize = tb
+        .scripts()
+        .expect("paper scripts generate")
+        .iter()
+        .map(Vec::len)
+        .sum();
+    let before = allocations();
+    let bus = tb.build().expect("paper testbench builds");
+    let during = allocations() - before;
+    drop(bus);
+    assert!(
+        during <= ops as u64,
+        "building the paper testbench allocated {during} times for {ops} ops"
+    );
 }

@@ -152,6 +152,9 @@ impl PowerSession {
                 self.trace.push(rec.energy);
             }
         } else {
+            if let Some(r) = &mut self.recorder {
+                r.reserve(cycles);
+            }
             let t0 = Instant::now();
             for _ in 0..cycles {
                 let snap = bus.step();

@@ -3,6 +3,12 @@
 //! Every generator returns [`Result`], so malformed scenario parameters
 //! surface as [`GenError`]s a caller can report (or convert into
 //! [`crate::WorkloadError`]) instead of aborting the process.
+//!
+//! Each public `try_*_script` collects a crate-private `*_ops` stream:
+//! the same validation up front, then a lazy iterator that makes its
+//! random draws as it yields ops. The testbenches feed those streams
+//! straight into their masters, so a bus build never holds a whole
+//! script.
 
 use std::error::Error;
 use std::fmt;
@@ -84,6 +90,24 @@ pub fn try_write_read_script(
     idle_min: u32,
     idle_max: u32,
 ) -> Result<Vec<Op>, GenError> {
+    write_read_ops(
+        seed, rounds, max_repeat, addr_base, addr_span, idle_min, idle_max,
+    )
+    .map(Iterator::collect)
+}
+
+/// Validates [`try_write_read_script`]'s parameters and returns its ops as
+/// a lazy stream: each op's random draws happen when it is yielded.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn write_read_ops(
+    seed: u64,
+    rounds: u32,
+    max_repeat: u32,
+    addr_base: u32,
+    addr_span: u32,
+    idle_min: u32,
+    idle_max: u32,
+) -> Result<impl Iterator<Item = Op>, GenError> {
     if rounds == 0 {
         return Err(GenError::EmptyCount("round"));
     }
@@ -100,17 +124,27 @@ pub fn try_write_read_script(
         });
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut ops = Vec::new();
-    for _ in 0..rounds {
-        let repeats = rng.random_range(1..=max_repeat);
-        for _ in 0..repeats {
-            let addr = addr_base + (rng.random_range(0..addr_span / 4)) * 4;
-            let value: u32 = rng.random();
-            ops.push(Op::Locked(vec![Op::write(addr, value), Op::read(addr)]));
+    let mut rounds_left = rounds;
+    // Pairs still to issue in the current round; `None` between rounds.
+    let mut pairs_left: Option<u32> = None;
+    Ok(std::iter::from_fn(move || {
+        let pairs = match pairs_left.as_mut() {
+            Some(pairs) => pairs,
+            None if rounds_left == 0 => return None,
+            None => {
+                rounds_left -= 1;
+                pairs_left.insert(rng.random_range(1..=max_repeat))
+            }
+        };
+        if *pairs == 0 {
+            pairs_left = None;
+            return Some(Op::Idle(rng.random_range(idle_min..=idle_max)));
         }
-        ops.push(Op::Idle(rng.random_range(idle_min..=idle_max)));
-    }
-    Ok(ops)
+        *pairs -= 1;
+        let addr = addr_base + (rng.random_range(0..addr_span / 4)) * 4;
+        let value: u32 = rng.random();
+        Some(Op::Locked(vec![Op::write(addr, value), Op::read(addr)]))
+    }))
 }
 
 /// A DMA-style script: block copies as INCR bursts (read burst from source,
@@ -126,34 +160,44 @@ pub fn try_dma_script(
     dst_base: u32,
     burst: HBurst,
 ) -> Result<Vec<Op>, GenError> {
+    dma_ops(seed, blocks, src_base, dst_base, burst).map(Iterator::collect)
+}
+
+/// Validates [`try_dma_script`]'s parameters and returns its ops as a lazy
+/// stream, one block at a time.
+pub(crate) fn dma_ops(
+    seed: u64,
+    blocks: u32,
+    src_base: u32,
+    dst_base: u32,
+    burst: HBurst,
+) -> Result<impl Iterator<Item = Op>, GenError> {
     if blocks == 0 {
         return Err(GenError::EmptyCount("block"));
     }
     let beats = burst.beats().unwrap_or(8);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut ops = Vec::new();
-    for b in 0..blocks {
+    Ok((0..blocks).flat_map(move |b| {
         let off = b * beats as u32 * 4;
-        ops.push(Op::Burst {
+        let read = Op::Burst {
             write: false,
             burst,
             addr: src_base + off,
             data: vec![0; beats],
             size: HSize::Word,
             busy_between: 0,
-        });
+        };
         let data: Vec<u32> = (0..beats).map(|_| rng.random()).collect();
-        ops.push(Op::Burst {
+        let write = Op::Burst {
             write: true,
             burst,
             addr: dst_base + off,
             data,
             size: HSize::Word,
             busy_between: 0,
-        });
-        ops.push(Op::Idle(rng.random_range(1..4)));
-    }
-    Ok(ops)
+        };
+        [read, write, Op::Idle(rng.random_range(1..4))]
+    }))
 }
 
 /// A CPU-like script: mostly single reads with occasional writes, mixed
@@ -168,6 +212,17 @@ pub fn try_cpu_script(
     addr_base: u32,
     addr_span: u32,
 ) -> Result<Vec<Op>, GenError> {
+    cpu_ops(seed, accesses, addr_base, addr_span).map(Iterator::collect)
+}
+
+/// Validates [`try_cpu_script`]'s parameters and returns its ops as a lazy
+/// stream, one access (and its optional gap) at a time.
+pub(crate) fn cpu_ops(
+    seed: u64,
+    accesses: u32,
+    addr_base: u32,
+    addr_span: u32,
+) -> Result<impl Iterator<Item = Op>, GenError> {
     if accesses == 0 {
         return Err(GenError::EmptyCount("access"));
     }
@@ -175,8 +230,7 @@ pub fn try_cpu_script(
         return Err(GenError::AddrSpanTooSmall { span: addr_span });
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut ops = Vec::new();
-    for _ in 0..accesses {
+    Ok((0..accesses).flat_map(move |_| {
         let size = match rng.random_range(0..4u8) {
             0 => HSize::Byte,
             1 => HSize::Half,
@@ -184,25 +238,25 @@ pub fn try_cpu_script(
         };
         let align = size.bytes();
         let addr = addr_base + (rng.random_range(0..addr_span / align)) * align;
-        if rng.random_bool(0.3) {
+        let access = if rng.random_bool(0.3) {
             let mask = match size {
                 HSize::Byte => 0xFF,
                 HSize::Half => 0xFFFF,
                 HSize::Word => 0xFFFF_FFFF,
             };
-            ops.push(Op::Write {
+            Op::Write {
                 addr,
                 value: rng.random::<u32>() & mask,
                 size,
-            });
+            }
         } else {
-            ops.push(Op::Read { addr, size });
-        }
-        if rng.random_bool(0.5) {
-            ops.push(Op::Idle(rng.random_range(1..8)));
-        }
-    }
-    Ok(ops)
+            Op::Read { addr, size }
+        };
+        let gap = rng
+            .random_bool(0.5)
+            .then(|| Op::Idle(rng.random_range(1..8)));
+        [Some(access), gap].into_iter().flatten()
+    }))
 }
 
 /// A streaming script: periodic fixed-length write bursts (a producer
@@ -217,24 +271,33 @@ pub fn try_stream_script(
     dst_base: u32,
     period_idle: u32,
 ) -> Result<Vec<Op>, GenError> {
+    stream_ops(seed, frames, dst_base, period_idle).map(Iterator::collect)
+}
+
+/// Validates [`try_stream_script`]'s parameters and returns its ops as a
+/// lazy stream, one frame at a time.
+pub(crate) fn stream_ops(
+    seed: u64,
+    frames: u32,
+    dst_base: u32,
+    period_idle: u32,
+) -> Result<impl Iterator<Item = Op>, GenError> {
     if frames == 0 {
         return Err(GenError::EmptyCount("frame"));
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut ops = Vec::new();
-    for f in 0..frames {
+    Ok((0..frames).flat_map(move |f| {
         let data: Vec<u32> = (0..8).map(|_| rng.random()).collect();
-        ops.push(Op::Burst {
+        let frame = Op::Burst {
             write: true,
             burst: HBurst::Incr8,
             addr: dst_base + (f % 16) * 32,
             data,
             size: HSize::Word,
             busy_between: u32::from(rng.random_bool(0.25)),
-        });
-        ops.push(Op::Idle(period_idle));
-    }
-    Ok(ops)
+        };
+        [frame, Op::Idle(period_idle)]
+    }))
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use ahbpower_ahb::{
 };
 
 use crate::error::WorkloadError;
-use crate::gen::try_write_read_script;
+use crate::gen::write_read_ops;
 
 /// Configuration of the paper's testbench.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,67 +62,62 @@ impl PaperTestbench {
     /// The op scripts the traffic masters will run, in master order.
     ///
     /// Static analyzers use this to lint the workload without building (or
-    /// ticking) a bus.
+    /// ticking) a bus. The scripts are collected from the same streams
+    /// [`PaperTestbench::build`] compiles into its masters.
     ///
     /// # Errors
     ///
     /// Returns [`WorkloadError::Gen`] if the configured script parameters
     /// are rejected by the generator.
     pub fn scripts(&self) -> Result<Vec<Vec<Op>>, WorkloadError> {
+        Ok(self.streams()?.into_iter().map(Iterator::collect).collect())
+    }
+
+    /// The traffic masters' op streams, in master order.
+    fn streams(&self) -> Result<[impl Iterator<Item = Op>; 2], WorkloadError> {
         let span = self.window * Self::N_SLAVES as u32;
-        let s0 = try_write_read_script(
-            self.seed,
-            self.rounds,
-            self.max_repeat,
-            0,
-            span,
-            self.idle_min,
-            self.idle_max,
-        )?;
-        let s1 = try_write_read_script(
-            self.seed ^ 0x9E37_79B9_7F4A_7C15,
-            self.rounds,
-            self.max_repeat,
-            0,
-            span,
-            self.idle_min,
-            self.idle_max,
-        )?;
-        Ok(vec![s0, s1])
+        let stream = |seed| {
+            write_read_ops(
+                seed,
+                self.rounds,
+                self.max_repeat,
+                0,
+                span,
+                self.idle_min,
+                self.idle_max,
+            )
+        };
+        Ok([
+            stream(self.seed)?,
+            stream(self.seed ^ 0x9E37_79B9_7F4A_7C15)?,
+        ])
     }
 
     /// Builds the bus: masters 0 and 1 run WRITE-READ/IDLE scripts over the
-    /// three slave windows; master 2 is the "simple default master".
+    /// three slave windows; master 2 is the "simple default master". Each
+    /// master compiles its script straight from the generator's stream.
     ///
     /// # Errors
     ///
     /// Returns [`WorkloadError`] if script generation or the bus build
     /// rejects the configuration (cannot occur for the default config).
     pub fn build(&self) -> Result<AhbBus, WorkloadError> {
-        let mut scripts = self.scripts()?.into_iter();
-        let m0 = ScriptedMaster::new(scripts.next().unwrap_or_default());
-        let m1 = ScriptedMaster::new(scripts.next().unwrap_or_default());
+        let [s0, s1] = self.streams()?;
+        self.assemble([ScriptedMaster::new(s0), ScriptedMaster::new(s1)])
+    }
+
+    /// The bus around the two traffic masters.
+    fn assemble(&self, [m0, m1]: [ScriptedMaster; 2]) -> Result<AhbBus, WorkloadError> {
+        let slave = || Box::new(MemorySlave::new(self.window as usize, self.wait_first, 0));
         let bus = AhbBusBuilder::new(self.address_map())
             .arbitration(self.arbitration)
             .default_master(MasterId(2))
             .master(Box::new(m0))
             .master(Box::new(m1))
             .master(Box::new(IdleMaster::new()))
-            .slave(Box::new(MemorySlave::new(
-                self.window as usize,
-                self.wait_first,
-                0,
-            )))
-            .slave(Box::new(MemorySlave::new(
-                self.window as usize,
-                self.wait_first,
-                0,
-            )))
-            .slave(Box::new(MemorySlave::new(
-                self.window as usize,
-                self.wait_first,
-                0,
-            )))
+            .slave(slave())
+            .slave(slave())
+            .slave(slave())
             .build()?;
         Ok(bus)
     }
@@ -208,6 +203,26 @@ mod tests {
             }
         }
         assert_eq!(reads0, expected, "locked WRITE-READ pairs round-trip");
+    }
+
+    #[test]
+    fn streamed_build_matches_the_collected_scripts() {
+        for seed in [7, 2003, 0xDEAD_BEEF] {
+            let tb = PaperTestbench::sized_for(20_000, seed);
+            let mut streamed = tb.build().unwrap();
+            let [s0, s1]: [Vec<Op>; 2] = tb.scripts().unwrap().try_into().unwrap();
+            let mut collected = tb
+                .assemble([ScriptedMaster::new(s0), ScriptedMaster::new(s1)])
+                .unwrap();
+            for cycle in 0..20_000 {
+                assert_eq!(
+                    streamed.step(),
+                    collected.step(),
+                    "seed {seed} cycle {cycle}"
+                );
+            }
+            assert_eq!(streamed.stats(), collected.stats(), "seed {seed}");
+        }
     }
 
     #[test]

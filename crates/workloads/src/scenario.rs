@@ -6,7 +6,7 @@ use ahbpower_ahb::{
 };
 
 use crate::error::WorkloadError;
-use crate::gen::{try_cpu_script, try_dma_script, try_stream_script};
+use crate::gen::{cpu_ops, dma_ops, stream_ops};
 
 /// An SoC-flavoured scenario: a CPU-like master, a DMA engine and a
 /// streaming producer contending for three memory slaves — the kind of
@@ -54,38 +54,62 @@ impl SocScenario {
     }
 
     /// The op scripts of the three traffic masters, in master order
-    /// (CPU, DMA, stream). Static analyzers lint these without a bus.
+    /// (CPU, DMA, stream). Static analyzers lint these without a bus; they
+    /// are collected from the same streams [`SocScenario::build`] compiles
+    /// into its masters.
     ///
     /// # Errors
     ///
     /// Returns [`WorkloadError::Gen`] if any generator rejects the
     /// scenario's parameters.
     pub fn scripts(&self) -> Result<Vec<Vec<Op>>, WorkloadError> {
+        let (cpu, dma, stream) = self.streams()?;
+        Ok(vec![cpu.collect(), dma.collect(), stream.collect()])
+    }
+
+    /// The traffic masters' op streams: CPU, DMA, stream.
+    fn streams(
+        &self,
+    ) -> Result<
+        (
+            impl Iterator<Item = Op>,
+            impl Iterator<Item = Op>,
+            impl Iterator<Item = Op>,
+        ),
+        WorkloadError,
+    > {
         let w = Self::WINDOW;
-        let cpu = try_cpu_script(self.seed, self.cpu_accesses, 0, w)?;
-        let dma = try_dma_script(
+        let cpu = cpu_ops(self.seed, self.cpu_accesses, 0, w)?;
+        let dma = dma_ops(
             self.seed ^ 0xD0A,
             self.dma_blocks,
             w,     // source: slave 1
             2 * w, // destination: slave 2
             HBurst::Incr8,
         )?;
-        let stream = try_stream_script(self.seed ^ 0x57E, self.stream_frames, 2 * w + 0x2000, 6)?;
-        Ok(vec![cpu, dma, stream])
+        let stream = stream_ops(self.seed ^ 0x57E, self.stream_frames, 2 * w + 0x2000, 6)?;
+        Ok((cpu, dma, stream))
     }
 
-    /// Builds the bus.
+    /// Builds the bus. Each master compiles its script straight from the
+    /// generator's stream.
     ///
     /// # Errors
     ///
     /// Returns [`WorkloadError`] if script generation or the bus build
     /// rejects the configuration (cannot occur for the default config).
     pub fn build(&self) -> Result<AhbBus, WorkloadError> {
-        let w = Self::WINDOW;
-        let mut scripts = self.scripts()?.into_iter();
-        let cpu = ScriptedMaster::new(scripts.next().unwrap_or_default());
-        let dma = ScriptedMaster::new(scripts.next().unwrap_or_default());
-        let stream = ScriptedMaster::new(scripts.next().unwrap_or_default());
+        let (cpu, dma, stream) = self.streams()?;
+        self.assemble([
+            ScriptedMaster::new(cpu),
+            ScriptedMaster::new(dma),
+            ScriptedMaster::new(stream),
+        ])
+    }
+
+    /// The bus around the three traffic masters (CPU, DMA, stream).
+    fn assemble(&self, [cpu, dma, stream]: [ScriptedMaster; 3]) -> Result<AhbBus, WorkloadError> {
+        let slave = || Box::new(MemorySlave::new(Self::WINDOW as usize, self.wait_states, 0));
         let bus = AhbBusBuilder::new(self.address_map())
             .arbitration(self.arbitration)
             .default_master(MasterId(3))
@@ -93,9 +117,9 @@ impl SocScenario {
             .master(Box::new(dma))
             .master(Box::new(stream))
             .master(Box::new(IdleMaster::new()))
-            .slave(Box::new(MemorySlave::new(w as usize, self.wait_states, 0)))
-            .slave(Box::new(MemorySlave::new(w as usize, self.wait_states, 0)))
-            .slave(Box::new(MemorySlave::new(w as usize, self.wait_states, 0)))
+            .slave(slave())
+            .slave(slave())
+            .slave(slave())
             .build()?;
         Ok(bus)
     }
@@ -123,6 +147,28 @@ mod tests {
             &checker.violations()[..checker.violations().len().min(5)]
         );
         assert!(bus.stats().transfers_ok > 500);
+    }
+
+    #[test]
+    fn streamed_build_matches_the_collected_scripts() {
+        let seeded = |seed| SocScenario {
+            seed,
+            ..SocScenario::default()
+        };
+        for sc in [SocScenario::default(), seeded(11), seeded(2003)] {
+            let mut streamed = sc.build().unwrap();
+            let scripts: [Vec<Op>; 3] = sc.scripts().unwrap().try_into().unwrap();
+            let mut collected = sc.assemble(scripts.map(ScriptedMaster::new)).unwrap();
+            for cycle in 0..20_000 {
+                assert_eq!(
+                    streamed.step(),
+                    collected.step(),
+                    "seed {} cycle {cycle}",
+                    sc.seed
+                );
+            }
+            assert_eq!(streamed.stats(), collected.stats(), "seed {}", sc.seed);
+        }
     }
 
     #[test]

@@ -250,4 +250,32 @@ fi
 rm -f "$BASE_TMP"
 echo "  baseline ok (self-compare clean, injected fault trips the gate)"
 
+echo "== benchmark smoke (perfbench, 1 s per workload) =="
+# The BENCHMARK.json command on every workload at seed 7 for one second,
+# tracing off. Each run must exit 0, fail no output check, and print the
+# digest pinned here: the digest is a function of the traffic alone, so
+# a change to what the bus runs (or a broken output check) fails CI
+# instead of surfacing only when the benchmark is next compared.
+for PINNED in paper-explore:ee1070b12d54e37d soc-live:8375a5cdcbaf52bf \
+              serve-read:cf58f5d072dd737e; do
+    WORKLOAD="${PINNED%%:*}"
+    DIGEST="${PINNED##*:}"
+    if ! BENCH_OUT="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
+        -- --workload "$WORKLOAD" --seed 7 --seconds 1 --trace 0)"; then
+        printf '%s\n' "$BENCH_OUT" | tail -5 >&2
+        echo "  ERROR: perfbench $WORKLOAD exited non-zero" >&2
+        exit 1
+    fi
+    if ! grep -q '"failed":0,' <<< "$BENCH_OUT"; then
+        printf '%s\n' "$BENCH_OUT" | grep "CHECK FAILED" >&2 || true
+        echo "  ERROR: perfbench $WORKLOAD failed an output check" >&2
+        exit 1
+    fi
+    if ! grep -q "\"digest\":\"$DIGEST\"" <<< "$BENCH_OUT"; then
+        echo "  ERROR: perfbench $WORKLOAD digest changed (pinned $DIGEST)" >&2
+        exit 1
+    fi
+    echo "  $WORKLOAD ok (digest $DIGEST, failed 0)"
+done
+
 echo "ALL CHECKS PASSED"
