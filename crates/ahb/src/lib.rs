@@ -13,6 +13,9 @@
 //!   master), **address decoder** with default-slave behaviour, and the
 //!   M2S/S2M **multiplexers** implied by the single-bus topology;
 //! - a passive [`ProtocolChecker`] that audits every cycle;
+//! - a [`PhaseDecoder`] that works out each cycle's pipeline state once
+//!   for the passive observers (the [`BusPerfAnalyzer`] and the
+//!   `ahbpower` crate's event tap and transaction tracer);
 //! - a per-cycle [`BusSnapshot`] of every wire — the hook the `ahbpower`
 //!   crate's instrumentation observes (the paper's `get_activity`).
 //!
@@ -46,9 +49,9 @@ mod bus;
 mod checker;
 mod decoder;
 mod lane;
-mod lifecycle;
 mod master;
 mod perf;
+mod phase;
 mod script;
 mod slave;
 mod types;
@@ -64,11 +67,11 @@ pub use bus::{AhbBus, AhbBusBuilder, BuildBusError, BusStats};
 pub use checker::{ProtocolChecker, Rule, Violation};
 pub use decoder::{AddrRange, AddressMap, BuildMapError};
 pub use lane::{from_lanes, lane_mask, to_lanes};
-pub use lifecycle::{LifecycleTap, TxnEvent};
 pub use master::{AhbMaster, IdleMaster, Op, ScriptedMaster};
 pub use perf::{
     BusPerfAnalyzer, CycleHistogram, MasterPerf, ARBITRATION_LATENCY_BOUNDS, BURST_BEATS_BOUNDS,
 };
+pub use phase::{Completion, DataPhase, Phase, PhaseDecoder, Start};
 pub use script::{format_ops, parse_ops, ParseOpsError};
 pub use slave::{AhbSlave, ErrorSlave, MemorySlave, SplitSlave};
 pub use types::{

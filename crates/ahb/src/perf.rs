@@ -1,14 +1,16 @@
 //! Bus-performance analysis: per-master service counters and latency /
-//! burst-length histograms derived from the per-cycle [`BusSnapshot`].
+//! burst-length histograms derived from the per-cycle [`BusSnapshot`] and
+//! its decoded [`Phase`].
 //!
 //! [`BusPerfAnalyzer`] is a passive observer like the protocol checker: it
-//! sees every cycle's wires and derives the performance quantities the
-//! power methodology correlates energy against — who got the bus, how long
+//! reads every cycle's wires and phase record and derives the performance
+//! quantities the power methodology correlates energy against — who got the bus, how long
 //! requests waited for a grant, how slaves stretched transfers with wait
 //! states, and how traffic batches into bursts. All counters are plain
 //! integers updated in place; observing a cycle allocates nothing.
 
-use crate::types::{BusSnapshot, HResp, HTrans, MasterId};
+use crate::phase::{Completion, DataPhase, Phase};
+use crate::types::{BusSnapshot, HTrans};
 
 /// A fixed-bucket histogram over integer-valued cycle counts.
 ///
@@ -186,24 +188,27 @@ pub struct MasterPerf {
     pub request_wait_cycles: u64,
 }
 
-/// Passive per-cycle bus-performance analyzer.
+/// Passive per-cycle bus-performance analyzer over the [`Phase`] records
+/// of a [`crate::PhaseDecoder`].
 ///
 /// # Examples
 ///
 /// ```
 /// use ahbpower_ahb::{
-///     AddressMap, AhbBusBuilder, BusPerfAnalyzer, MemorySlave, Op, ScriptedMaster,
+///     AddressMap, AhbBusBuilder, BusPerfAnalyzer, MemorySlave, Op, PhaseDecoder, ScriptedMaster,
 /// };
 ///
 /// let mut bus = AhbBusBuilder::new(AddressMap::evenly_spaced(1, 0x1000))
 ///     .master(Box::new(ScriptedMaster::new(vec![Op::write(0x0, 1), Op::read(0x0)])))
 ///     .slave(Box::new(MemorySlave::new(0x1000, 0, 0)))
 ///     .build()?;
+/// let mut decoder = PhaseDecoder::new(1);
 /// let mut perf = BusPerfAnalyzer::new(1);
 /// for _ in 0..20 {
-///     perf.observe(bus.step());
+///     let snap = bus.step();
+///     perf.observe(snap, &decoder.decode(snap));
 /// }
-/// perf.finish();
+/// perf.finish(decoder.finish());
 /// assert_eq!(perf.cycles(), 20);
 /// assert_eq!(perf.master(0).transfers_ok, 2);
 /// # Ok::<(), ahbpower_ahb::BuildBusError>(())
@@ -215,15 +220,8 @@ pub struct BusPerfAnalyzer {
     data_transfer_cycles: u64,
     idle_cycles: u64,
     masters: Vec<MasterPerf>,
-    /// Cycle each master's current request started waiting, if any.
-    request_since: Vec<Option<u64>>,
     arbitration_latency: CycleHistogram,
     burst_beats: CycleHistogram,
-    /// Beats observed in the burst currently in flight.
-    open_burst_beats: u64,
-    /// Owner of the data phase in flight (`None` while the pipe is empty).
-    dp_master: Option<MasterId>,
-    prev_hmaster: Option<MasterId>,
 }
 
 /// Default arbitration-latency bucket bounds, cycles.
@@ -241,91 +239,57 @@ impl BusPerfAnalyzer {
             data_transfer_cycles: 0,
             idle_cycles: 0,
             masters: vec![MasterPerf::default(); n_masters],
-            request_since: vec![None; n_masters],
             arbitration_latency: CycleHistogram::new(&ARBITRATION_LATENCY_BOUNDS),
             burst_beats: CycleHistogram::new(&BURST_BEATS_BOUNDS),
-            open_burst_beats: 0,
-            dp_master: None,
-            prev_hmaster: None,
         }
     }
 
-    /// Observes one cycle's wires. Allocation-free.
-    pub fn observe(&mut self, snap: &BusSnapshot) {
+    /// Observes one cycle's wires and their decoded `phase`.
+    /// Allocation-free once every master has been seen.
+    // Always inlined next to `PhaseDecoder::decode` (see there).
+    #[inline(always)]
+    pub fn observe(&mut self, snap: &BusSnapshot, phase: &Phase) {
         let owner = snap.hmaster.index();
-        if self.masters.len() <= owner {
+        let seen = (owner + 1).max((u32::BITS - phase.waiting.leading_zeros()) as usize);
+        if self.masters.len() < seen {
             // A master the constructor did not know about (defensive).
-            self.masters.resize(owner + 1, MasterPerf::default());
-            self.request_since.resize(owner + 1, None);
+            self.masters.resize(seen, MasterPerf::default());
         }
         self.masters[owner].grant_cycles += 1;
-        if let Some(prev) = self.prev_hmaster {
-            if prev != snap.hmaster {
-                self.handovers += 1;
-            }
-        }
-        self.prev_hmaster = Some(snap.hmaster);
-
-        // Data-phase accounting: the transfer in flight belongs to the
-        // master that issued its address phase, not the current owner.
-        if snap.hready {
-            if let Some(m) = self.dp_master.take() {
-                self.masters[m.index()].transfers_ok += u64::from(snap.hresp == HResp::Okay);
+        self.handovers += u64::from(phase.handover);
+        // The transfer in flight belongs to the master that issued its
+        // address phase, not the current owner.
+        match phase.data {
+            DataPhase::Done { master, okay } => {
+                self.masters[master.index()].transfers_ok += u64::from(okay);
                 self.data_transfer_cycles += 1;
             }
-        } else if snap.hresp == HResp::Okay {
-            if let Some(m) = self.dp_master {
-                self.masters[m.index()].wait_cycles += 1;
-            }
+            DataPhase::Stalled(master) => self.masters[master.index()].wait_cycles += 1,
+            DataPhase::None => {}
         }
-        if snap.hready && snap.htrans.is_transfer() {
-            self.dp_master = Some(snap.hmaster);
-        }
-
         // Arbitration latency: cycles from a master raising HBUSREQ to its
         // first owning cycle.
-        for i in 0..self.request_since.len() {
-            let req = snap.hbusreq_bit(i);
-            if i == owner {
-                if let Some(since) = self.request_since[i].take() {
-                    self.arbitration_latency.observe(self.cycles - since);
-                }
-            } else if req {
-                if self.request_since[i].is_none() {
-                    self.request_since[i] = Some(self.cycles);
-                }
-                self.masters[i].request_wait_cycles += 1;
-            } else {
-                self.request_since[i] = None;
-            }
+        if let Some(wait) = phase.owner_wait {
+            self.arbitration_latency.observe(wait);
         }
-
-        // Burst shape: NONSEQ opens a burst, SEQ extends it, IDLE closes it.
-        match snap.htrans {
-            HTrans::NonSeq => {
-                self.close_burst();
-                self.open_burst_beats = 1;
-            }
-            HTrans::Seq => self.open_burst_beats += 1,
-            HTrans::Busy => {}
-            HTrans::Idle => {
-                self.close_burst();
-                self.idle_cycles += 1;
-            }
+        let mut waiting = phase.waiting;
+        while waiting != 0 {
+            self.masters[waiting.trailing_zeros() as usize].request_wait_cycles += 1;
+            waiting &= waiting - 1;
         }
+        if let Some(txn) = phase.completed {
+            self.burst_beats.observe(u64::from(txn.beats));
+        }
+        self.idle_cycles += u64::from(snap.htrans == HTrans::Idle);
         self.cycles += 1;
     }
 
-    fn close_burst(&mut self) {
-        if self.open_burst_beats > 0 {
-            self.burst_beats.observe(self.open_burst_beats);
-            self.open_burst_beats = 0;
+    /// Books the transaction still open at the end of the run (what
+    /// [`crate::PhaseDecoder::finish`] returns); call once after the run.
+    pub fn finish(&mut self, open: Option<Completion>) {
+        if let Some(txn) = open {
+            self.burst_beats.observe(u64::from(txn.beats));
         }
-    }
-
-    /// Closes any burst still in flight; call once after the run.
-    pub fn finish(&mut self) {
-        self.close_burst();
     }
 
     /// Cycles observed.
@@ -362,7 +326,7 @@ impl BusPerfAnalyzer {
         &self.arbitration_latency
     }
 
-    /// The burst-length histogram, beats.
+    /// Beats per completed transaction (one burst, or one single transfer).
     pub fn burst_beats(&self) -> &CycleHistogram {
         &self.burst_beats
     }
@@ -389,9 +353,11 @@ impl BusPerfAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bus::AhbBus;
     use crate::bus::AhbBusBuilder;
     use crate::decoder::AddressMap;
     use crate::master::{Op, ScriptedMaster};
+    use crate::phase::PhaseDecoder;
     use crate::slave::MemorySlave;
     use crate::types::HBurst;
 
@@ -531,6 +497,18 @@ mod tests {
         a.merge(&CycleHistogram::new(&[1, 3]));
     }
 
+    /// Runs `bus` for `cycles` cycles under a decoder-fed analyzer.
+    fn analyze(bus: &mut AhbBus, n_masters: usize, cycles: u64) -> BusPerfAnalyzer {
+        let mut decoder = PhaseDecoder::new(n_masters);
+        let mut perf = BusPerfAnalyzer::new(n_masters);
+        for _ in 0..cycles {
+            let snap = bus.step();
+            perf.observe(snap, &decoder.decode(snap));
+        }
+        perf.finish(decoder.finish());
+        perf
+    }
+
     fn run_analyzed(ops0: Vec<Op>, ops1: Vec<Op>, cycles: u64) -> BusPerfAnalyzer {
         let mut bus = AhbBusBuilder::new(AddressMap::evenly_spaced(2, 0x1000))
             .master(Box::new(ScriptedMaster::new(ops0)))
@@ -539,12 +517,7 @@ mod tests {
             .slave(Box::new(MemorySlave::new(0x1000, 0, 0)))
             .build()
             .unwrap();
-        let mut perf = BusPerfAnalyzer::new(2);
-        for _ in 0..cycles {
-            perf.observe(bus.step());
-        }
-        perf.finish();
-        perf
+        analyze(&mut bus, 2, cycles)
     }
 
     #[test]
@@ -574,11 +547,7 @@ mod tests {
             .slave(Box::new(MemorySlave::new(0x1000, 2, 0)))
             .build()
             .unwrap();
-        let mut perf = BusPerfAnalyzer::new(1);
-        for _ in 0..40 {
-            perf.observe(bus.step());
-        }
-        perf.finish();
+        let perf = analyze(&mut bus, 1, 40);
         assert_eq!(perf.master(0).transfers_ok, 2);
         assert_eq!(perf.master(0).wait_cycles, 4, "2 wait states per write");
     }
@@ -623,11 +592,7 @@ mod tests {
             .slave(Box::new(MemorySlave::new(0x10000, 0, 0)))
             .build()
             .unwrap();
-        let mut perf = BusPerfAnalyzer::new(1);
-        for _ in 0..40 {
-            perf.observe(bus.step());
-        }
-        perf.finish();
+        let perf = analyze(&mut bus, 1, 40);
         let h = perf.burst_beats();
         assert_eq!(h.count(), 2, "one 4-beat burst + one single: {h:?}");
         assert_eq!(h.sum(), 5);
@@ -635,6 +600,70 @@ mod tests {
         // the 4-beat burst in <=4.
         assert_eq!(h.bucket_counts()[0], 1);
         assert_eq!(h.bucket_counts()[2], 1);
+    }
+
+    #[test]
+    fn burst_beats_are_counted_per_transaction_under_wait_states() {
+        // One wait state on each NONSEQ beat holds the next address
+        // phase for a second cycle; the histogram still sees one 4-beat
+        // burst and one single.
+        let mut bus = AhbBusBuilder::new(AddressMap::evenly_spaced(1, 0x10000))
+            .master(Box::new(ScriptedMaster::new(vec![
+                Op::Burst {
+                    write: true,
+                    burst: HBurst::Incr4,
+                    addr: 0x0,
+                    data: vec![1, 2, 3, 4],
+                    size: crate::types::HSize::Word,
+                    busy_between: 0,
+                },
+                Op::write(0x100, 7),
+            ])))
+            .slave(Box::new(MemorySlave::new(0x10000, 1, 0)))
+            .build()
+            .unwrap();
+        let perf = analyze(&mut bus, 1, 40);
+        let h = perf.burst_beats();
+        assert_eq!((h.count(), h.sum()), (2, 5), "{h:?}");
+        assert_eq!(perf.master(0).transfers_ok, 5);
+        assert_eq!(perf.master(0).wait_cycles, 2);
+    }
+
+    #[test]
+    fn unknown_masters_grow_the_counters() {
+        let mut decoder = PhaseDecoder::new(2);
+        let mut perf = BusPerfAnalyzer::new(2);
+        let mut snap = BusSnapshot {
+            cycle: 0,
+            haddr: 0,
+            htrans: HTrans::NonSeq,
+            hwrite: false,
+            hsize: crate::types::HSize::Word,
+            hburst: HBurst::Single,
+            hwdata: 0,
+            hrdata: 0,
+            hready: true,
+            hresp: crate::types::HResp::Okay,
+            hmaster: crate::types::MasterId(5),
+            hmastlock: false,
+            hbusreq: u32::MAX,
+            hgrant: u32::MAX,
+            hsel: 0b1,
+        };
+        for hmaster in [5, 200, 5] {
+            snap.hmaster = crate::types::MasterId(hmaster);
+            perf.observe(&snap, &decoder.decode(&snap));
+            snap.cycle += 1;
+        }
+        perf.finish(decoder.finish());
+        assert_eq!(perf.masters().len(), 201);
+        assert_eq!(perf.master(5).grant_cycles, 2);
+        assert_eq!(perf.master(200).transfers_ok, 1);
+        assert_eq!(
+            perf.master(31).request_wait_cycles,
+            2,
+            "bit 31 waited twice"
+        );
     }
 
     #[test]

@@ -764,7 +764,7 @@ mod tests {
         );
         for path in [
             "crates/bench/src/dashboard.rs",
-            "crates/ahb/src/lifecycle.rs",
+            "crates/ahb/src/phase.rs",
             "crates/core/src/model.rs",
         ] {
             assert_eq!(

@@ -15,8 +15,9 @@
 //!
 //! `overhead` is the one timing harness (paper Sec 6): a ladder of
 //! session configurations — functional, power, telemetry, anomaly,
-//! event ring off/on, observatory, recorder — each timed against its
-//! parent rung with one noise protocol, written to `BENCH_overhead.json`.
+//! event ring off/on, observatory, recorder, transaction tracer — each
+//! timed against its parent rung with one noise protocol, written to
+//! `BENCH_overhead.json`.
 //! It exits 1 when a rung blows its budget or books other energy than
 //! the plain power session.
 //!
@@ -1660,8 +1661,9 @@ fn styles(cycles: u64, seed: u64, jobs: usize) {
 /// before its children. `power` over `functional` is the paper's Sec 6
 /// ratio (E6); `telemetry` carries the 35% budget of the CI gate,
 /// `observatory` the retention store's 5% ceiling (E19), `record` the
-/// activity recorder's 12% (E17).
-const RUNGS: [(&str, Option<&str>, Option<f64>); 8] = [
+/// activity recorder's 12% (E17); `txn`, the transaction tracer, is
+/// measured without a budget.
+const RUNGS: [(&str, Option<&str>, Option<f64>); 9] = [
     ("functional", None, None),
     ("power", Some("functional"), None),
     ("telemetry", Some("power"), Some(35.0)),
@@ -1670,6 +1672,7 @@ const RUNGS: [(&str, Option<&str>, Option<f64>); 8] = [
     ("events", Some("anomaly"), None),
     ("observatory", Some("anomaly"), Some(5.0)),
     ("record", Some("power"), Some(12.0)),
+    ("txn", Some("power"), None),
 ];
 
 /// Round-robin repetitions of the whole ladder in `overhead`.
@@ -1725,6 +1728,10 @@ fn time_rung(rung: &str, cycles: u64, seed: u64) -> RungPass {
             Some(PowerSession::with_telemetry(&acfg, tcfg))
         }
         "record" => Some(PowerSession::with_recorder(&acfg)),
+        "txn" => Some(PowerSession::with_txn_tracer(
+            &acfg,
+            ahbpower::TxnTracerConfig::enabled(ahbpower::DEFAULT_RING_CAPACITY),
+        )),
         other => unreachable!("no rung named {other}"),
     };
     let mut bus = build_paper_bus(cycles, seed);

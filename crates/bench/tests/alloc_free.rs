@@ -143,16 +143,18 @@ fn hot_path_does_not_allocate_per_cycle() {
     // TxnComplete/EnergyBooked is pure stores. Replays the pre-recorded
     // trace so bus-side allocations cannot leak into the count.
     use ahbpower::telemetry::{EventBus, EventsTap};
+    use ahbpower_ahb::PhaseDecoder;
     let ring = EventBus::shared(4_096);
-    let mut tap = EventsTap::new(std::sync::Arc::clone(&ring), cfg.n_masters, 1_000);
+    let mut tap = EventsTap::new(std::sync::Arc::clone(&ring), 1_000);
+    let mut decoder = PhaseDecoder::new(cfg.n_masters);
     tap.slice_start(0);
     for s in &trace[..2_000] {
-        tap.observe_bus(s);
+        tap.observe_bus(s, &decoder.decode(s));
         tap.observe_energy(1e-9);
     }
     let before = allocations();
     for s in &trace[2_000..] {
-        tap.observe_bus(s);
+        tap.observe_bus(s, &decoder.decode(s));
         tap.observe_energy(1e-9);
     }
     assert_eq!(
@@ -167,7 +169,7 @@ fn hot_path_does_not_allocate_per_cycle() {
     ring.set_enabled(false);
     let before = allocations();
     for s in &trace {
-        tap.observe_bus(s);
+        tap.observe_bus(s, &decoder.decode(s));
         tap.observe_energy(1e-9);
     }
     assert_eq!(

@@ -68,7 +68,7 @@ pub fn publish_bus_perf(reg: &mut MetricsRegistry, perf: &BusPerfAnalyzer) {
     let beats = perf.burst_beats();
     let h = reg.histogram(
         "ahb_burst_beats",
-        "Beats per completed burst.",
+        "Beats per completed transaction (burst or single transfer).",
         &[],
         beats.bounds(),
     );
@@ -240,11 +240,13 @@ mod tests {
             .slave(Box::new(MemorySlave::new(0x1000, 1, 0)))
             .build()
             .unwrap();
+        let mut decoder = ahbpower_ahb::PhaseDecoder::new(1);
         let mut perf = BusPerfAnalyzer::new(1);
         for _ in 0..30 {
-            perf.observe(bus.step());
+            let snap = bus.step();
+            perf.observe(snap, &decoder.decode(snap));
         }
-        perf.finish();
+        perf.finish(decoder.finish());
         let mut reg = MetricsRegistry::new();
         publish_bus_perf(&mut reg, &perf);
         assert_eq!(reg.counter_value("ahb_cycles_total", &[]), Some(30.0));

@@ -39,7 +39,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ahbpower_ahb::{BusSnapshot, LifecycleTap, TxnEvent};
+use ahbpower_ahb::{BusSnapshot, Phase};
 use ahbpower_sim::KernelStats;
 
 use super::anomaly::WindowVerdict;
@@ -529,9 +529,9 @@ impl<A: Atomics> GenericEventBus<A> {
 const TXN_EVENT_BATCH: usize = 64;
 
 /// The per-session emitter: wraps a shared [`EventBus`] with the
-/// causal-id bookkeeping — a [`LifecycleTap`] assigning transaction ids,
-/// the current slice id, and the cycle/window counters every emitted
-/// event is stamped with.
+/// causal-id bookkeeping — transaction ids for the completions the
+/// session's [`ahbpower_ahb::PhaseDecoder`] reports, the current slice
+/// id, and the cycle/window counters every emitted event is stamped with.
 ///
 /// Owned by [`crate::telemetry::Telemetry`]; the session's hot loop
 /// calls [`EventsTap::observe_bus`] once per cycle, which is a single
@@ -539,11 +539,6 @@ const TXN_EVENT_BATCH: usize = 64;
 #[derive(Debug, Clone)]
 pub struct EventsTap {
     bus: Arc<EventBus>,
-    tap: LifecycleTap,
-    /// Beats accumulated per master for the transaction in flight.
-    beats: Vec<u32>,
-    /// Wait-state cycles accumulated per master, same lifetime.
-    waits: Vec<u32>,
     /// Completed-transaction events not yet handed to the ring. At the
     /// paper testbench's ≈ 0.7 completions/cycle, publishing each one
     /// individually makes the ring's `fetch_add` the dominant tracing
@@ -569,15 +564,12 @@ pub struct EventsTap {
 }
 
 impl EventsTap {
-    /// Creates a tap publishing into `bus` for a bus with `n_masters`
-    /// masters; `window_cycles` must match the anomaly detector's window
-    /// so window ids line up (clamped to ≥ 1).
-    pub fn new(bus: Arc<EventBus>, n_masters: usize, window_cycles: u64) -> Self {
+    /// Creates a tap publishing into `bus`; `window_cycles` must match
+    /// the anomaly detector's window so window ids line up (clamped to
+    /// ≥ 1).
+    pub fn new(bus: Arc<EventBus>, window_cycles: u64) -> Self {
         EventsTap {
             bus,
-            tap: LifecycleTap::new(n_masters),
-            beats: vec![0; n_masters],
-            waits: vec![0; n_masters],
             pending: Vec::with_capacity(TXN_EVENT_BATCH),
             slice: 0,
             next_txn: 0,
@@ -651,13 +643,13 @@ impl EventsTap {
         });
     }
 
-    /// Observes one cycle's wires: advances the cycle/window counters
-    /// and, when the bus is enabled, runs the lifecycle tap and publishes
-    /// a [`EventKind::TxnComplete`] event for any transaction that
-    /// finished this cycle. Allocation-free; a cold-atomic branch when
-    /// the bus is disabled.
+    /// Observes one cycle's wires and decoded `phase`: advances the
+    /// cycle/window counters and, when the bus is enabled, publishes a
+    /// [`EventKind::TxnComplete`] event for the transaction that finished
+    /// this cycle, if any. Allocation-free; a cold-atomic branch when the
+    /// bus is disabled.
     #[inline]
-    pub fn observe_bus(&mut self, snap: &BusSnapshot) {
+    pub fn observe_bus(&mut self, snap: &BusSnapshot, phase: &Phase) {
         let cycle_index = self.cycles;
         self.cycles += 1;
         if !self.bus.is_enabled() {
@@ -669,29 +661,7 @@ impl EventsTap {
             self.cur_window = cycle_index / self.window_cycles;
             self.cur_window_end = (self.cur_window + 1) * self.window_cycles;
         }
-        let mut completed = None;
-        let beats = &mut self.beats;
-        let waits = &mut self.waits;
-        // Transfer-phase tap only: the request/grant scan would emit
-        // events this match discards anyway.
-        self.tap.observe_transfers(snap, |e| match e {
-            TxnEvent::Stalled { master } => {
-                if let Some(w) = waits.get_mut(master.index()) {
-                    *w += 1;
-                }
-            }
-            TxnEvent::BeatDone { master, .. } => {
-                if let Some(b) = beats.get_mut(master.index()) {
-                    *b += 1;
-                }
-            }
-            TxnEvent::Completed { master } => completed = Some(master),
-            TxnEvent::Requested { .. } | TxnEvent::Granted { .. } | TxnEvent::Started { .. } => {}
-        });
-        if let Some(master) = completed {
-            let m = master.index();
-            let beats_n = self.beats.get_mut(m).map_or(0, std::mem::take);
-            let waits_n = self.waits.get_mut(m).map_or(0, std::mem::take);
+        if let Some(done) = phase.completed {
             let txn = self.next_txn;
             self.next_txn += 1;
             self.pending.push(Event {
@@ -701,9 +671,9 @@ impl EventsTap {
                 txn,
                 window: self.cur_window,
                 cycle: snap.cycle,
-                tag: m as u32,
-                a: f64::from(beats_n),
-                b: f64::from(waits_n),
+                tag: u32::from(done.master.0),
+                a: f64::from(done.beats),
+                b: f64::from(done.wait_cycles),
             });
             if self.pending.len() >= TXN_EVENT_BATCH {
                 self.flush();
@@ -1089,7 +1059,7 @@ mod tests {
 
     #[test]
     fn tap_buffers_completions_and_flushes_before_slice_events() {
-        use ahbpower_ahb::{HBurst, HResp, HSize, HTrans, MasterId};
+        use ahbpower_ahb::{HBurst, HResp, HSize, HTrans, MasterId, PhaseDecoder};
         let snap = |cycle: u64, htrans: HTrans| BusSnapshot {
             cycle,
             haddr: 0x10,
@@ -1109,10 +1079,12 @@ mod tests {
         };
         let bus = EventBus::shared(256);
         bus.set_enabled(true);
-        let mut tap = EventsTap::new(Arc::clone(&bus), 1, 1_000);
+        let mut tap = EventsTap::new(Arc::clone(&bus), 1_000);
+        let mut decoder = PhaseDecoder::new(1);
         tap.slice_start(0);
-        tap.observe_bus(&snap(0, HTrans::NonSeq));
-        tap.observe_bus(&snap(1, HTrans::Idle));
+        for s in [snap(0, HTrans::NonSeq), snap(1, HTrans::Idle)] {
+            tap.observe_bus(&s, &decoder.decode(&s));
+        }
         assert_eq!(tap.transactions(), 1, "the single-beat write completed");
         assert_eq!(
             bus.published(),

@@ -5,8 +5,10 @@
 //! [`TelemetryConfig`]: a disabled [`crate::PowerSession`] carries no
 //! telemetry state at all and its hot loop is the same code path as before
 //! this module existed (one `Option` discriminant test per run, not per
-//! cycle). When enabled, the session feeds every [`BusSnapshot`] to a
-//! [`BusPerfAnalyzer`] and times its own observer loop as the
+//! cycle). When enabled, the session decodes every [`BusSnapshot`] once
+//! with a [`PhaseDecoder`], feeds the phase record to a
+//! [`BusPerfAnalyzer`] (and the event tap, when a ring is attached) and
+//! times its own observer loop as the
 //! `session_observe` span: one clock pair per [`crate::PowerSession::run`]
 //! call, counted per cycle, so no clock is read per cycle; at the end of the
 //! run [`Telemetry::finalize`] folds the analyzers, the power FSM's
@@ -68,7 +70,7 @@ pub use span::{SpanId, SpanSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-use ahbpower_ahb::{BusPerfAnalyzer, BusSnapshot};
+use ahbpower_ahb::{BusPerfAnalyzer, BusSnapshot, PhaseDecoder};
 use ahbpower_sim::{KernelProfile, KernelStats};
 
 use crate::instruction::Instruction;
@@ -150,13 +152,15 @@ impl TelemetryConfig {
     }
 }
 
-/// Live telemetry state for one analysis run: the bus-performance
-/// analyzer fed per cycle, the span set timing the observer loop, and the
-/// registry everything is published into at the end.
+/// Live telemetry state for one analysis run: the phase decoder and the
+/// bus-performance analyzer fed per cycle, the span set timing the
+/// observer loop, and the registry everything is published into at the
+/// end.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     config: TelemetryConfig,
     registry: MetricsRegistry,
+    decoder: PhaseDecoder,
     perf: BusPerfAnalyzer,
     spans: SpanSet,
     observe_span: SpanId,
@@ -181,7 +185,7 @@ impl Telemetry {
         let events = config
             .events
             .clone()
-            .map(|bus| EventsTap::new(bus, n_masters, window_cycles));
+            .map(|bus| EventsTap::new(bus, window_cycles));
         let observatory = config
             .observatory
             .clone()
@@ -189,6 +193,7 @@ impl Telemetry {
         Telemetry {
             config,
             registry: MetricsRegistry::new(),
+            decoder: PhaseDecoder::new(n_masters),
             perf: BusPerfAnalyzer::new(n_masters),
             spans,
             observe_span,
@@ -204,13 +209,15 @@ impl Telemetry {
         &self.config
     }
 
-    /// Feeds one cycle's wires to the bus-performance analyzer and, when
-    /// an event ring is attached, the transaction-lifecycle event tap.
+    /// Decodes one cycle's wires and feeds the phase record to the
+    /// bus-performance analyzer and, when an event ring is attached, the
+    /// event tap.
     #[inline]
     pub fn observe_bus(&mut self, snap: &BusSnapshot) {
-        self.perf.observe(snap);
+        let phase = self.decoder.decode(snap);
+        self.perf.observe(snap, &phase);
         if let Some(t) = &mut self.events {
-            t.observe_bus(snap);
+            t.observe_bus(snap, &phase);
         }
     }
 
@@ -339,7 +346,7 @@ impl Telemetry {
             return;
         }
         self.finalized = true;
-        self.perf.finish();
+        self.perf.finish(self.decoder.finish());
         publish_bus_perf(&mut self.registry, &self.perf);
         publish_power(&mut self.registry, fsm);
         publish_spans(&mut self.registry, &self.spans);

@@ -1,7 +1,7 @@
 //! Transaction-level energy tracing.
 //!
-//! [`TxnTracer`] couples the AHB crate's [`LifecycleTap`] with the power
-//! FSM's per-cycle output: lifecycle events assemble causally-linked
+//! [`TxnTracer`] couples the AHB crate's [`PhaseDecoder`] with the power
+//! FSM's per-cycle output: the decoded phases assemble causally-linked
 //! [`TxnRecord`]s (request → grant → address → data → completion), and
 //! every cycle's [`BlockEnergy`] is added both to the owning master's open
 //! transaction and to an [`AttributionTable`] keyed by (master, slave,
@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use ahbpower_ahb::{BusSnapshot, HBurst, LifecycleTap, MasterId, SlaveId, TxnEvent};
+use ahbpower_ahb::{BusSnapshot, Completion, HBurst, MasterId, PhaseDecoder, SlaveId};
 
 use crate::attribution::AttributionTable;
 use crate::macromodel::BlockEnergy;
@@ -100,107 +100,6 @@ impl TxnRecord {
     }
 }
 
-/// Per-master assembly state plus the bounded result ring.
-#[derive(Debug, Clone)]
-struct TxnState {
-    /// In-flight transaction per master.
-    open: Vec<Option<TxnRecord>>,
-    /// Pending HBUSREQ edge per master, consumed by its next start.
-    last_request: Vec<Option<u64>>,
-    /// Pending grant edge per master: `(cycle, wait_cycles)`.
-    last_grant: Vec<Option<(u64, u64)>>,
-    ring: VecDeque<TxnRecord>,
-    capacity: usize,
-    next_id: u64,
-    completed: u64,
-    evicted: u64,
-}
-
-impl TxnState {
-    fn ensure_master(&mut self, idx: usize) {
-        if idx >= self.open.len() {
-            self.open.resize(idx + 1, None);
-            self.last_request.resize(idx + 1, None);
-            self.last_grant.resize(idx + 1, None);
-        }
-    }
-
-    fn apply(&mut self, event: TxnEvent, cycle: u64) {
-        match event {
-            TxnEvent::Requested { master } => {
-                let m = master.index();
-                self.ensure_master(m);
-                self.last_request[m] = Some(cycle);
-            }
-            TxnEvent::Granted {
-                master,
-                wait_cycles,
-            } => {
-                let m = master.index();
-                self.ensure_master(m);
-                self.last_grant[m] = Some((cycle, wait_cycles));
-            }
-            TxnEvent::Started {
-                master,
-                slave,
-                addr,
-                write,
-                burst,
-            } => {
-                let m = master.index();
-                self.ensure_master(m);
-                let id = self.next_id;
-                self.next_id += 1;
-                let (grant_cycle, grant_wait_cycles) = match self.last_grant[m].take() {
-                    Some((c, w)) => (Some(c), w),
-                    None => (None, 0),
-                };
-                self.open[m] = Some(TxnRecord {
-                    id,
-                    master,
-                    slave,
-                    write,
-                    addr,
-                    burst,
-                    request_cycle: self.last_request[m].take(),
-                    grant_cycle,
-                    grant_wait_cycles,
-                    start_cycle: cycle,
-                    complete_cycle: cycle,
-                    beats: 0,
-                    ok_beats: 0,
-                    wait_cycles: 0,
-                    energy: BlockEnergy::default(),
-                });
-            }
-            TxnEvent::Stalled { master } => {
-                if let Some(Some(txn)) = self.open.get_mut(master.index()) {
-                    txn.wait_cycles += 1;
-                }
-            }
-            TxnEvent::BeatDone { master, okay } => {
-                if let Some(Some(txn)) = self.open.get_mut(master.index()) {
-                    txn.beats += 1;
-                    txn.ok_beats += u32::from(okay);
-                    txn.complete_cycle = cycle;
-                }
-            }
-            TxnEvent::Completed { master } => {
-                if let Some(slot) = self.open.get_mut(master.index()) {
-                    if let Some(txn) = slot.take() {
-                        self.completed += 1;
-                        if self.ring.len() == self.capacity {
-                            self.ring.pop_front();
-                            self.evicted += 1;
-                        }
-                        self.ring.push_back(txn);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The transaction-attribution tracer.
 ///
 /// Feed it every cycle's snapshot plus the power FSM's [`CycleRecord`]
@@ -210,11 +109,15 @@ impl TxnState {
 /// [`crate::PowerSession::with_txn_tracer`].
 #[derive(Debug, Clone)]
 pub struct TxnTracer {
-    tap: LifecycleTap,
-    state: TxnState,
+    decoder: PhaseDecoder,
+    /// The transaction the decoder reports open, with its energy so far.
+    open: Option<TxnRecord>,
+    ring: VecDeque<TxnRecord>,
+    capacity: usize,
+    next_id: u64,
+    completed: u64,
+    evicted: u64,
     attribution: AttributionTable,
-    last_cycle: u64,
-    finished: bool,
 }
 
 impl TxnTracer {
@@ -222,107 +125,132 @@ impl TxnTracer {
     /// transaction ring capacity (clamped to at least 1).
     pub fn new(n_masters: usize, ring_capacity: usize) -> Self {
         TxnTracer {
-            tap: LifecycleTap::new(n_masters),
-            state: TxnState {
-                open: vec![None; n_masters],
-                last_request: vec![None; n_masters],
-                last_grant: vec![None; n_masters],
-                ring: VecDeque::new(),
-                capacity: ring_capacity.max(1),
-                next_id: 0,
-                completed: 0,
-                evicted: 0,
-            },
+            decoder: PhaseDecoder::new(n_masters),
+            open: None,
+            ring: VecDeque::new(),
+            capacity: ring_capacity.max(1),
+            next_id: 0,
+            completed: 0,
+            evicted: 0,
             attribution: AttributionTable::new(),
-            last_cycle: 0,
-            finished: false,
         }
     }
 
-    /// Observes one cycle: applies the lifecycle events, then books the
-    /// cycle's energy to the owning master's open transaction and to the
-    /// attribution table. Every cycle is attributed (to the address-phase
-    /// owner, with `slave = None` outside transactions), so the table's
-    /// total conserves the instruction ledger's.
+    /// Observes one cycle: closes and opens transactions as the cycle's
+    /// decoded phase says, then books the cycle's energy to the owning
+    /// master's open transaction and to the attribution table. Every
+    /// cycle is attributed (to the address-phase owner, with
+    /// `slave = None` outside transactions), so the table's total
+    /// conserves the instruction ledger's.
     pub fn observe(&mut self, snap: &BusSnapshot, rec: &CycleRecord) {
-        self.last_cycle = snap.cycle;
-        let state = &mut self.state;
-        self.tap
-            .observe(snap, |event| state.apply(event, snap.cycle));
+        let phase = self.decoder.decode(snap);
+        if let Some(done) = phase.completed {
+            self.complete(done);
+        }
+        if phase.started {
+            let start = self.decoder.start();
+            self.open = Some(TxnRecord {
+                id: self.next_id,
+                master: snap.hmaster,
+                slave: slave_of(snap.hsel),
+                write: snap.hwrite,
+                addr: snap.haddr,
+                burst: snap.hburst,
+                request_cycle: start.request_cycle,
+                grant_cycle: start.grant_cycle,
+                grant_wait_cycles: start.grant_wait_cycles,
+                start_cycle: snap.cycle,
+                complete_cycle: snap.cycle,
+                beats: 0,
+                ok_beats: 0,
+                wait_cycles: 0,
+                energy: BlockEnergy::default(),
+            });
+            self.next_id += 1;
+        }
         let owner = snap.hmaster;
         // The cycle's energy belongs to the owner's open transaction — or,
-        // on a completion cycle (the transaction closed during the event
-        // pass above), to the record that just reached the ring.
-        let open_slave = state
-            .open
-            .get_mut(owner.index())
-            .and_then(Option::as_mut)
-            .map(|txn| {
-                txn.energy += rec.energy;
-                txn.slave
-            });
-        let slave = match open_slave {
-            Some(slave) => slave,
-            None => state
+        // on the cycle its final beat completed, to the record that just
+        // reached the ring.
+        let txn = match &mut self.open {
+            Some(txn) if txn.master == owner => Some(txn),
+            _ => self
                 .ring
                 .back_mut()
-                .filter(|txn| txn.master == owner && txn.complete_cycle == snap.cycle)
-                .map(|txn| {
-                    txn.energy += rec.energy;
-                    txn.slave
-                })
-                .unwrap_or_default(),
+                .filter(|txn| txn.master == owner && txn.complete_cycle == snap.cycle),
         };
+        let slave = txn.and_then(|txn| {
+            txn.energy += rec.energy;
+            txn.slave
+        });
         self.attribution
             .record(owner, slave, rec.instruction, rec.energy);
+    }
+
+    /// Moves the open transaction into the ring with the decoder's tally.
+    fn complete(&mut self, done: Completion) {
+        let Some(mut txn) = self.open.take() else {
+            return;
+        };
+        txn.beats = done.beats;
+        txn.ok_beats = done.ok_beats;
+        txn.wait_cycles = u64::from(done.wait_cycles);
+        txn.complete_cycle = done.last_beat_cycle;
+        self.completed += 1;
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+            self.evicted += 1;
+        }
+        self.ring.push_back(txn);
     }
 
     /// Flushes the transaction still in flight, if any. Idempotent; call
     /// once the run is over, before exporting.
     pub fn finish(&mut self) {
-        if self.finished {
-            return;
+        if let Some(done) = self.decoder.finish() {
+            self.complete(done);
         }
-        self.finished = true;
-        let state = &mut self.state;
-        let cycle = self.last_cycle;
-        self.tap.finish(|event| state.apply(event, cycle));
     }
 
     /// Completed transactions still in the ring, oldest first.
     pub fn records(&self) -> impl Iterator<Item = &TxnRecord> {
-        self.state.ring.iter()
+        self.ring.iter()
     }
 
     /// Completed transactions currently buffered.
     pub fn len(&self) -> usize {
-        self.state.ring.len()
+        self.ring.len()
     }
 
     /// True when no transaction has completed yet.
     pub fn is_empty(&self) -> bool {
-        self.state.ring.is_empty()
+        self.ring.is_empty()
     }
 
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
-        self.state.capacity
+        self.capacity
     }
 
     /// Transactions completed over the whole run (evicted ones included).
     pub fn completed(&self) -> u64 {
-        self.state.completed
+        self.completed
     }
 
     /// Completed transactions evicted from the ring.
     pub fn evicted(&self) -> u64 {
-        self.state.evicted
+        self.evicted
     }
 
     /// The exact (master, slave, instruction) energy attribution.
     pub fn attribution(&self) -> &AttributionTable {
         &self.attribution
     }
+}
+
+/// The lowest asserted HSEL line, or `None` for the default slave.
+fn slave_of(hsel: u32) -> Option<SlaveId> {
+    (hsel != 0).then(|| SlaveId(hsel.trailing_zeros() as u8))
 }
 
 #[cfg(test)]
@@ -404,6 +332,12 @@ mod tests {
         assert_eq!(txn.ok_beats, 1);
         // Both cycles were owned by master 0 with the txn open.
         assert!((txn.energy.total() - 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn unselected_address_decodes_to_default_slave() {
+        assert_eq!(slave_of(0), None);
+        assert_eq!(slave_of(0b100), Some(SlaveId(2)));
     }
 
     #[test]

@@ -72,7 +72,7 @@ cargo run --release -p ahbpower-bench --bin repro -- telemetry --cycles 100000 >
 echo "  telemetry ok (results/telemetry.{jsonl,csv,prom})"
 
 echo "== overhead ladder gate (200k cycles) =="
-# `repro overhead` times eight session configurations ("rungs") 25 times
+# `repro overhead` times nine session configurations ("rungs") 25 times
 # round-robin and gates each on the median per-round ratio over its
 # parent rung: telemetry <= 35% over the plain power session,
 # observatory <= 5% over telemetry+anomaly, the activity recorder <= 12%
@@ -93,7 +93,9 @@ if ! grep -q "^verdict: ok" "$OVERHEAD_DIR/overhead.log"; then
     echo "  ERROR: repro overhead printed no 'verdict: ok' line" >&2
     exit 1
 fi
-grep -E "^(telemetry|observatory|record) " "$OVERHEAD_DIR/overhead.log" | sed 's/^/  /'
+# The event tap and the transaction tracer have no budget; their lines
+# are printed next to the three gated rungs.
+grep -E "^(telemetry|events|observatory|record|txn) " "$OVERHEAD_DIR/overhead.log" | sed 's/^/  /'
 rm -rf "$OVERHEAD_DIR"
 echo "  overhead ok (telemetry <= 35%, observatory <= 5%, record <= 12%, every rung's energy bit-identical)"
 
