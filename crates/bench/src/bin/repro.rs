@@ -1480,7 +1480,7 @@ fn trace_cmd(cycles: u64, seed: u64, top: usize, ring_capacity: usize) {
             tracer.evicted()
         );
         let total = table.total_energy();
-        for (m, e) in table.per_master_energy().iter().enumerate() {
+        for (m, e) in r.session.per_master_energy().iter().enumerate() {
             println!(
                 "  M{m}: {:>12} ({:>5.1}%)",
                 fmt_energy(*e),

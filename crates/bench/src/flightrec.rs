@@ -292,11 +292,14 @@ mod tests {
                 s2m: 1.0e-13,
                 arb: 1.0e-13,
             };
+            let mut blocks = BlockEnergy::default();
+            let mut master = 0.0;
             for _ in 0..100 {
-                obs.observe_cycle(0, &e);
+                blocks += e;
+                master += e.total();
             }
             let measured = 4.0e-11;
-            obs.close_window(
+            obs.ingest(
                 &WindowVerdict {
                     window: w,
                     start_cycle: w * 100,
@@ -305,6 +308,8 @@ mod tests {
                     flagged: None,
                     absorbed: true,
                 },
+                blocks,
+                &[master],
                 w,
             );
         }

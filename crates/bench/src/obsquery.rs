@@ -269,11 +269,14 @@ mod tests {
                 s2m: per_cycle * 0.25,
                 arb: per_cycle * 0.25,
             };
-            for c in 0..50u64 {
-                obs.observe_cycle((c % 2) as usize, &e);
+            let mut blocks = BlockEnergy::default();
+            let mut masters = [0.0; 2];
+            for c in 0..50usize {
+                blocks += e;
+                masters[c % 2] += e.total();
             }
             let measured = per_cycle * 50.0;
-            obs.close_window(
+            obs.ingest(
                 &WindowVerdict {
                     window: w,
                     start_cycle: w * 50,
@@ -282,6 +285,8 @@ mod tests {
                     flagged: None,
                     absorbed: true,
                 },
+                blocks,
+                &masters,
                 w * 3,
             );
         }

@@ -50,8 +50,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ahbpower::telemetry::{
-    events_to_jsonl, json_num, to_jsonl, AnomalyConfig, AnomalyEvent, DetectorState, Event,
-    EventBatch, EventBus, EventKind, ExportMeta, MetricKind, MetricSink, Observatory,
+    events_to_jsonl, json_escape, json_num, to_jsonl, AnomalyConfig, AnomalyEvent, DetectorState,
+    Event, EventBatch, EventBus, EventKind, ExportMeta, MetricKind, MetricSink, Observatory,
     ObservatoryConfig, PromWriter, QueryResult, RegistrySink, SampleValue, TelemetryConfig,
     DEFAULT_EVENT_CAPACITY, OBSERVATORY_LEVEL_FACTORS,
 };
@@ -1315,7 +1315,8 @@ fn query_response(query: &str, plane: &Plane) -> (u16, &'static str, String) {
             200,
             "application/json",
             format!(
-                "{{\"series\":\"{series}\",\"level\":0,\"factor\":1,\"from\":0,\"to\":0,\"step\":1,\"points\":[]}}"
+                "{{\"series\":\"{}\",\"level\":0,\"factor\":1,\"from\":0,\"to\":0,\"step\":1,\"points\":[]}}",
+                json_escape(series)
             ),
         )
     };
@@ -2078,6 +2079,41 @@ mod tests {
         let counts = std::array::from_fn(|i| ledger.count(at(i)));
         exact.instructions = InstructionLedger::from_parts(counts, [0.0; INSTRUCTION_COUNT]);
         (sums, exact)
+    }
+
+    /// A plane of `shards` idle shards: no worker has published yet.
+    fn idle_plane(shards: usize) -> Plane {
+        Plane {
+            shards: (0..shards)
+                .map(|_| ShardRef {
+                    state: Mutex::new(LiveState::default()),
+                    events: EventBus::shared(8),
+                })
+                .collect(),
+            stop: AtomicBool::new(false),
+            queue: ConnQueue {
+                pending: Mutex::new(VecDeque::new()),
+                ready: Condvar::new(),
+            },
+            active: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            timeouts: AtomicU64::new(0),
+            started: Instant::now(),
+            addr: SocketAddr::from(([127, 0, 0, 1], 0)),
+            mix: ScenarioMix::Paper,
+            seed: 0,
+            http_threads: 1,
+            max_connections: 1,
+        }
+    }
+
+    #[test]
+    fn query_placeholder_escapes_the_series_name() {
+        let plane = idle_plane(2);
+        let (status, content_type, body) = query_response("series=a\"b\\c&step=10", &plane);
+        assert_eq!((status, content_type), (200, "application/json"));
+        assert!(validate_json(&body).is_ok(), "invalid JSON: {body}");
+        assert!(body.starts_with(r#"{"series":"a\"b\\c","#), "{body}");
     }
 
     proptest! {

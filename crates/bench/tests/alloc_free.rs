@@ -52,7 +52,9 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-use ahbpower::{AhbPowerModel, AnalysisConfig, FsmProbe, GlobalProbe, InlineProbe, PowerProbe};
+use ahbpower::{
+    AhbPowerModel, AnalysisConfig, FsmProbe, GlobalProbe, InlineProbe, PowerFsm, PowerProbe,
+};
 use ahbpower_ahb::{AddressMap, AhbBusBuilder, BusSnapshot, MemorySlave, ScriptedMaster};
 use ahbpower_bench::build_paper_bus;
 use ahbpower_workloads::try_stream_script;
@@ -141,22 +143,37 @@ fn hot_path_does_not_allocate_per_cycle() {
     // --- 4. Structured event ring: the publish path never allocates. ------
     // The ring's slots are pre-allocated atomics; publishing a
     // TxnComplete/EnergyBooked is pure stores. Replays the pre-recorded
-    // trace so bus-side allocations cannot leak into the count.
-    use ahbpower::telemetry::{EventBus, EventsTap};
-    use ahbpower_ahb::PhaseDecoder;
+    // trace through a telemetry session with the ring and the
+    // observatory attached, so bus-side allocations cannot leak into the
+    // count.
+    use ahbpower::telemetry::{
+        AnomalyConfig, EventBus, ObservatoryConfig, Telemetry, TelemetryConfig,
+    };
+    use ahbpower::BlockEnergy;
+    let sample = BlockEnergy {
+        dec: 1e-12,
+        m2s: 2e-12,
+        s2m: 3e-12,
+        arb: 4e-12,
+    };
     let ring = EventBus::shared(4_096);
-    let mut tap = EventsTap::new(std::sync::Arc::clone(&ring), 1_000);
-    let mut decoder = PhaseDecoder::new(cfg.n_masters);
-    tap.slice_start(0);
-    for s in &trace[..2_000] {
-        tap.observe_bus(s, &decoder.decode(s));
-        tap.observe_energy(1e-9);
-    }
+    let mut t = Telemetry::new(
+        TelemetryConfig::enabled("alloc_free")
+            .with_observatory(ObservatoryConfig::default())
+            .with_events(std::sync::Arc::clone(&ring)),
+        cfg.n_masters,
+    );
+    let mut power = PowerFsm::new(AhbPowerModel::new(cfg.n_masters, cfg.n_slaves, &cfg.tech()));
+    let mut feed = move |t: &mut Telemetry, snaps: &[BusSnapshot]| {
+        for s in snaps {
+            t.observe_bus(s);
+            t.observe_power(power.observe(s).instruction, &sample, s.hmaster.index());
+        }
+    };
+    t.begin_slice(0);
+    feed(&mut t, &trace[..2_000]);
     let before = allocations();
-    for s in &trace[2_000..] {
-        tap.observe_bus(s, &decoder.decode(s));
-        tap.observe_energy(1e-9);
-    }
+    feed(&mut t, &trace[2_000..]);
     assert_eq!(
         allocations() - before,
         0,
@@ -168,10 +185,7 @@ fn hot_path_does_not_allocate_per_cycle() {
     // cold atomic load — still zero allocations.
     ring.set_enabled(false);
     let before = allocations();
-    for s in &trace {
-        tap.observe_bus(s, &decoder.decode(s));
-        tap.observe_energy(1e-9);
-    }
+    feed(&mut t, &trace);
     assert_eq!(
         allocations() - before,
         0,
@@ -204,41 +218,27 @@ fn hot_path_does_not_allocate_per_cycle() {
 
     // --- 6. Observatory ingest: zero allocations in steady state. ---------
     // All three retention levels are flat arrays sized at construction;
-    // observe_cycle is pure adds and window close folds the sample into
+    // the window book is pure adds and window close folds the sample into
     // pre-allocated slots — including when buckets are evicted (the ring
-    // wraps, nothing is freed or grown). Capacity 16 with 1000 windows
-    // wraps every level's raw ring many times over.
-    use ahbpower::telemetry::{Observatory, ObservatoryConfig};
-    use ahbpower::BlockEnergy;
-    let mut obs = Observatory::new(
-        ObservatoryConfig::default().with_capacity(16),
+    // wraps, nothing is freed or grown). Capacity 16 with 1200 windows of
+    // 10 cycles wraps every level's raw ring many times over.
+    let mut t = Telemetry::new(
+        TelemetryConfig::enabled("alloc_free")
+            .with_anomaly(AnomalyConfig::default().with_window_cycles(10))
+            .with_observatory(ObservatoryConfig::default().with_capacity(16))
+            .with_events(EventBus::shared(4_096)),
         cfg.n_masters,
-        10,
     );
-    let sample = BlockEnergy {
-        dec: 1e-12,
-        m2s: 2e-12,
-        s2m: 3e-12,
-        arb: 4e-12,
-    };
-    let mut txns = 0u64;
     // Warm-up past the first window closes on every level.
-    for c in 0..2_000u64 {
-        obs.observe_cycle((c % cfg.n_masters as u64) as usize, &sample);
-        txns += u64::from(c % 3 == 0);
-        obs.close_window_if_due(txns);
-    }
+    feed(&mut t, &trace[..2_000]);
     let before = allocations();
-    for c in 0..10_000u64 {
-        obs.observe_cycle((c % cfg.n_masters as u64) as usize, &sample);
-        txns += u64::from(c % 3 == 0);
-        obs.close_window_if_due(txns);
-    }
+    feed(&mut t, &trace);
     assert_eq!(
         allocations() - before,
         0,
         "observatory ingest must not allocate in steady state"
     );
+    let obs = t.observatory().expect("observatory attached");
     assert_eq!(obs.windows_ingested(), 1_200, "every window closed");
 
     // --- 7. Testbench build: at most one allocation per scripted op. -----

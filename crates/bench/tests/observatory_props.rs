@@ -66,8 +66,8 @@ fn raw_window_strategy() -> impl Strategy<Value = RawWindow> {
         )
 }
 
-/// Feeds the windows through the real ingest path (observe_cycle per
-/// cycle, then a detector-style close_window) and returns the
+/// Feeds the windows through the real ingest path (the window's block
+/// and per-master totals with a detector-style verdict) and returns the
 /// observatory next to the per-series raw samples it should retain.
 fn ingest(capacity: usize, windows: &[RawWindow]) -> (Observatory, Vec<Vec<f64>>) {
     let mut obs = Observatory::new(
@@ -84,7 +84,6 @@ fn ingest(capacity: usize, windows: &[RawWindow]) -> (Observatory, Vec<Vec<f64>>
         let mut masters = [0.0f64; N_MASTERS];
         let mut blocks = BlockEnergy::default();
         for (m, e) in &win.cycles {
-            obs.observe_cycle(*m, e);
             masters[*m] += e.total();
             blocks += *e;
             cycle += 1;
@@ -98,7 +97,7 @@ fn ingest(capacity: usize, windows: &[RawWindow]) -> (Observatory, Vec<Vec<f64>>
             deviation_pct: 10.0,
             z_score: 4.0,
         });
-        obs.close_window(
+        obs.ingest(
             &WindowVerdict {
                 window: w as u64,
                 start_cycle,
@@ -107,6 +106,8 @@ fn ingest(capacity: usize, windows: &[RawWindow]) -> (Observatory, Vec<Vec<f64>>
                 flagged,
                 absorbed: !win.flagged,
             },
+            blocks,
+            &masters,
             txn_total,
         );
         raw[0].push(win.measured_j);

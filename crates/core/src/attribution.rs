@@ -7,17 +7,10 @@
 //! recorded in exactly one cell, so the table's total equals
 //! `InstructionLedger::total_energy()` up to float summation order.
 
-use std::collections::BTreeMap;
-
 use ahbpower_ahb::{MasterId, SlaveId};
 
-use crate::instruction::Instruction;
+use crate::instruction::{Instruction, INSTRUCTION_COUNT};
 use crate::macromodel::BlockEnergy;
-
-/// Cell key: `(master, slave, instruction index)`; `None` for the slave
-/// marks cycles with no decoded slave (idle cycles and default-slave
-/// transfers).
-type CellKey = (u8, Option<u8>, usize);
 
 /// One attribution cell, flattened for reporting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,9 +27,15 @@ pub struct AttributionRow {
 
 /// Accumulates per-cycle energy into (master, slave, instruction) cells.
 ///
-/// Deterministic: cells live in a [`BTreeMap`], so iteration order — and
-/// therefore every export built from [`AttributionTable::rows`] — is
-/// stable across runs and platforms.
+/// Cells are one flat array indexed by master, then slave slot (slot 0
+/// for no decoded slave — idle cycles and default-slave transfers — and
+/// slot `s + 1` for slave `s`), then instruction index, growing on demand
+/// to the highest master and slave seen. Index order is therefore
+/// (master, slave, instruction) order with "no slave" first, so
+/// iteration — and every export built from [`AttributionTable::rows`] —
+/// is deterministic across runs and platforms. A cell stays `None` until
+/// a cycle is recorded in it, so recorded cells count even at zero
+/// energy.
 ///
 /// # Examples
 ///
@@ -53,8 +52,9 @@ pub struct AttributionRow {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AttributionTable {
-    cells: BTreeMap<CellKey, BlockEnergy>,
-    per_master: Vec<f64>,
+    cells: Vec<Option<BlockEnergy>>,
+    /// Slave slots per master: the highest slave slot seen plus one.
+    slave_slots: usize,
     cycles: u64,
 }
 
@@ -65,6 +65,7 @@ impl AttributionTable {
     }
 
     /// Books one cycle's energy to `(master, slave, instruction)`.
+    #[inline]
     pub fn record(
         &mut self,
         master: MasterId,
@@ -72,14 +73,34 @@ impl AttributionTable {
         instruction: Instruction,
         energy: BlockEnergy,
     ) {
-        let key = (master.0, slave.map(|s| s.0), instruction.index());
-        *self.cells.entry(key).or_default() += energy;
-        let idx = master.index();
-        if idx >= self.per_master.len() {
-            self.per_master.resize(idx + 1, 0.0);
+        let slot = slave.map_or(0, |s| usize::from(s.0) + 1);
+        if slot >= self.slave_slots {
+            self.widen(slot + 1);
         }
-        self.per_master[idx] += energy.total();
+        let row = master.index() * self.slave_slots + slot;
+        let i = row * INSTRUCTION_COUNT + instruction.index();
+        if i >= self.cells.len() {
+            let masters = master.index() + 1;
+            self.cells
+                .resize(masters * self.slave_slots * INSTRUCTION_COUNT, None);
+        }
+        *self.cells[i].get_or_insert_with(BlockEnergy::default) += energy;
         self.cycles += 1;
+    }
+
+    /// Re-lays the cells out with `slave_slots` slots per master.
+    #[cold]
+    fn widen(&mut self, slave_slots: usize) {
+        let from = self.slave_slots * INSTRUCTION_COUNT;
+        let to = slave_slots * INSTRUCTION_COUNT;
+        let mut cells = Vec::new();
+        // There are no cells before the first widening, when `from` is 0.
+        for row in self.cells.chunks(from.max(1)) {
+            cells.extend_from_slice(row);
+            cells.resize(cells.len() + to - from, None);
+        }
+        self.cells = cells;
+        self.slave_slots = slave_slots;
     }
 
     /// Cycles recorded.
@@ -87,14 +108,14 @@ impl AttributionTable {
         self.cycles
     }
 
-    /// Number of non-empty cells.
+    /// Number of recorded cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.cells.iter().flatten().count()
     }
 
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.cycles == 0
     }
 
     /// Total attributed energy, joules. Conserves the ledger total: every
@@ -102,24 +123,30 @@ impl AttributionTable {
     pub fn total_energy(&self) -> f64 {
         // + 0.0 normalizes the empty sum, which is -0.0, so an empty
         // table doesn't report "-0.00 pJ".
-        self.cells.values().map(BlockEnergy::total).sum::<f64>() + 0.0
-    }
-
-    /// Energy per master (index = master id), joules.
-    pub fn per_master_energy(&self) -> &[f64] {
-        &self.per_master
-    }
-
-    /// All cells in deterministic key order (master, then slave, then
-    /// instruction index).
-    pub fn rows(&self) -> Vec<AttributionRow> {
         self.cells
             .iter()
-            .map(|(&(master, slave, instr), &energy)| AttributionRow {
-                master: MasterId(master),
-                slave: slave.map(SlaveId),
-                instruction: Instruction::from_index(instr),
-                energy,
+            .flatten()
+            .map(BlockEnergy::total)
+            .sum::<f64>()
+            + 0.0
+    }
+
+    /// All recorded cells in deterministic key order (master, then slave
+    /// with "no slave" first, then instruction index).
+    pub fn rows(&self) -> Vec<AttributionRow> {
+        let per_master = self.slave_slots * INSTRUCTION_COUNT;
+        self.cells
+            .iter()
+            .enumerate()
+            .filter_map(|(i, cell)| {
+                let energy = (*cell)?;
+                let slot = i % per_master / INSTRUCTION_COUNT;
+                Some(AttributionRow {
+                    master: MasterId((i / per_master) as u8),
+                    slave: slot.checked_sub(1).map(|s| SlaveId(s as u8)),
+                    instruction: Instruction::from_index(i % INSTRUCTION_COUNT),
+                    energy,
+                })
             })
             .collect()
     }
@@ -164,8 +191,15 @@ mod tests {
         assert_eq!(t.len(), 2);
         let expected = e(1.0).total() * 2.0 + e(2.0).total();
         assert!((t.total_energy() - expected).abs() < 1e-12);
-        assert!((t.per_master_energy()[0] - e(1.0).total() * 2.0).abs() < 1e-12);
-        assert!((t.per_master_energy()[1] - e(2.0).total()).abs() < 1e-12);
+        let master_energy = |m: u8| -> f64 {
+            t.rows()
+                .iter()
+                .filter(|r| r.master == MasterId(m))
+                .map(|r| r.energy.total())
+                .sum()
+        };
+        assert!((master_energy(0) - e(1.0).total() * 2.0).abs() < 1e-12);
+        assert!((master_energy(1) - e(2.0).total()).abs() < 1e-12);
     }
 
     #[test]

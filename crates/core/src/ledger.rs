@@ -238,7 +238,8 @@ const MASTER_SLOTS: usize = (MASTER_MASK as usize) + 1;
 
 /// Where every cycle's energy is booked, keyed by its activity word: the
 /// instruction ledger, the block ledger and the bus owner's share. The
-/// live [`PowerFsm`](crate::PowerFsm) and a replay each own one.
+/// live [`PowerFsm`](crate::PowerFsm) and a replay each own one, and
+/// telemetry books each detection window into one.
 #[derive(Debug, Clone)]
 pub(crate) struct EnergyBook {
     pub(crate) ledger: InstructionLedger,
@@ -267,6 +268,11 @@ impl EnergyBook {
         self.blocks.record(energy);
         self.per_master[master] += total;
         self.max_master = self.max_master.max(master);
+    }
+
+    /// Empties the book, as if newly created.
+    pub(crate) fn clear(&mut self) {
+        *self = EnergyBook::new();
     }
 
     /// One slot per master up to the highest owner seen; empty before the

@@ -17,7 +17,8 @@
 //! coefficients mid-run shifts measured energy away from the learned
 //! baseline without touching the instruction mix.
 
-use crate::instruction::{Instruction, INSTRUCTION_COUNT};
+use crate::instruction::Instruction;
+use crate::ledger::InstructionLedger;
 use crate::telemetry::export::json_num;
 
 /// Tuning knobs for the [`AnomalyDetector`]. The defaults flag a
@@ -159,37 +160,54 @@ pub struct WindowVerdict {
     pub absorbed: bool,
 }
 
-/// Streaming detector fed one `(instruction, energy)` pair per cycle by
-/// the telemetry layer.
+impl WindowVerdict {
+    /// The verdict on a window nobody judged: the prediction mirrors the
+    /// measurement, nothing is flagged and nothing is absorbed. This is
+    /// what a session without a detector publishes, and what
+    /// [`AnomalyDetector::judge`] refines.
+    pub fn unjudged(window: u64, start_cycle: u64, measured_j: f64) -> Self {
+        WindowVerdict {
+            window,
+            start_cycle,
+            measured_j,
+            predicted_j: measured_j,
+            flagged: None,
+            absorbed: false,
+        }
+    }
+}
+
+/// Streaming detector judging one closed window at a time. The window's
+/// per-instruction energy comes from the telemetry layer's window book
+/// ([`crate::telemetry::Telemetry`]), which also keeps the window clock.
 ///
 /// # Examples
 ///
 /// ```
-/// use ahbpower::telemetry::{AnomalyConfig, AnomalyDetector};
-/// use ahbpower::{ActivityMode, Instruction};
+/// use ahbpower::telemetry::{AnomalyConfig, AnomalyDetector, WindowVerdict};
+/// use ahbpower::{ActivityMode, Instruction, InstructionLedger};
 ///
 /// let cfg = AnomalyConfig::default().with_window_cycles(10).with_warmup_windows(2);
 /// let mut det = AnomalyDetector::new(cfg);
 /// let insn = Instruction::new(ActivityMode::Read, ActivityMode::Read);
 /// // A steady stream never alarms.
-/// for _ in 0..100 {
-///     assert!(det.observe(insn, 1.0e-12).is_none());
+/// for w in 0..10 {
+///     let mut window = InstructionLedger::new();
+///     for _ in 0..10 {
+///         window.record(insn, 1.0e-12);
+///     }
+///     let mut v = WindowVerdict::unjudged(w, w * 10, window.total_energy());
+///     det.judge(&window, &mut v);
+///     assert!(v.flagged.is_none());
 /// }
 /// assert!(det.events().is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct AnomalyDetector {
     cfg: AnomalyConfig,
-    // Learned baseline: cumulative clean-window energy and count per
-    // instruction.
-    base_energy: [f64; INSTRUCTION_COUNT],
-    base_count: [u64; INSTRUCTION_COUNT],
-    // Current window accumulators.
-    win_count: [u64; INSTRUCTION_COUNT],
-    win_energy: [f64; INSTRUCTION_COUNT],
-    cycle_in_window: u64,
-    window_index: u64,
-    cycles_total: u64,
+    /// Learned baseline: every clean window's per-instruction counts and
+    /// energy.
+    baseline: InstructionLedger,
     // EWMA of the relative residual.
     resid_mean: f64,
     resid_var: f64,
@@ -203,13 +221,7 @@ impl AnomalyDetector {
     pub fn new(cfg: AnomalyConfig) -> Self {
         AnomalyDetector {
             cfg,
-            base_energy: [0.0; INSTRUCTION_COUNT],
-            base_count: [0; INSTRUCTION_COUNT],
-            win_count: [0; INSTRUCTION_COUNT],
-            win_energy: [0.0; INSTRUCTION_COUNT],
-            cycle_in_window: 0,
-            window_index: 0,
-            cycles_total: 0,
+            baseline: InstructionLedger::new(),
             resid_mean: 0.0,
             resid_var: 0.0,
             resid_primed: false,
@@ -223,42 +235,9 @@ impl AnomalyDetector {
         &self.cfg
     }
 
-    /// Feeds one cycle. Returns the anomaly event if this cycle closed a
-    /// window that was flagged.
-    #[inline]
-    pub fn observe(&mut self, instruction: Instruction, joules: f64) -> Option<AnomalyEvent> {
-        self.observe_verdict(instruction, joules)
-            .and_then(|v| v.flagged)
-    }
-
-    /// Feeds one cycle. Returns the full [`WindowVerdict`] if this cycle
-    /// closed a window — flagged or not — which is what the structured
-    /// event bus consumes.
-    #[inline]
-    pub fn observe_verdict(
-        &mut self,
-        instruction: Instruction,
-        joules: f64,
-    ) -> Option<WindowVerdict> {
-        let i = instruction.index();
-        self.win_count[i] += 1;
-        self.win_energy[i] += joules;
-        self.cycle_in_window += 1;
-        self.cycles_total += 1;
-        if self.cycle_in_window >= self.cfg.window_cycles {
-            return Some(self.close_window());
-        }
-        None
-    }
-
-    /// Closed (complete) windows so far.
+    /// Windows judged so far: each is either absorbed or flagged.
     pub fn windows(&self) -> u64 {
-        self.window_index
-    }
-
-    /// Total cycles fed, including any partial trailing window.
-    pub fn cycles(&self) -> u64 {
-        self.cycles_total
+        self.baseline_updates + self.events.len() as u64
     }
 
     /// Every flagged window, in order.
@@ -281,7 +260,7 @@ impl AnomalyDetector {
     /// post-mortem bundles and live status surfaces.
     pub fn state(&self) -> DetectorState {
         DetectorState {
-            windows: self.window_index,
+            windows: self.windows(),
             baseline_updates: self.baseline_updates,
             flagged: self.events.len() as u64,
             resid_mean: self.resid_mean,
@@ -290,46 +269,41 @@ impl AnomalyDetector {
         }
     }
 
-    /// Drops a partial trailing window (a fraction of a window has too
-    /// little signal to judge). Call once at the end of a run.
-    pub fn finish(&mut self) {
-        self.win_count = [0; INSTRUCTION_COUNT];
-        self.win_energy = [0.0; INSTRUCTION_COUNT];
-        self.cycle_in_window = 0;
-    }
-
-    /// Predicted energy for the accumulated window. Instructions absent
-    /// from the learned baseline contribute their measured energy, so a
-    /// never-seen mix cannot alarm by itself.
-    fn predict(&self) -> f64 {
+    /// Predicted energy for a window. Instructions absent from the
+    /// learned baseline contribute their measured energy, so a never-seen
+    /// mix cannot alarm by itself.
+    fn predict(&self, window: &InstructionLedger) -> f64 {
         let mut predicted = 0.0;
-        for i in 0..INSTRUCTION_COUNT {
-            if self.win_count[i] == 0 {
+        for i in Instruction::all() {
+            let count = window.count(i);
+            if count == 0 {
                 continue;
             }
-            if self.base_count[i] > 0 {
-                let mean = self.base_energy[i] / self.base_count[i] as f64;
-                predicted += self.win_count[i] as f64 * mean;
+            let base_count = self.baseline.count(i);
+            if base_count > 0 {
+                let mean = self.baseline.energy(i) / base_count as f64;
+                predicted += count as f64 * mean;
             } else {
-                predicted += self.win_energy[i];
+                predicted += window.energy(i);
             }
         }
         predicted
     }
 
-    fn close_window(&mut self) -> WindowVerdict {
-        let window = self.window_index;
-        let start_cycle = self.cycles_total - self.cycle_in_window;
-        let measured: f64 = self.win_energy.iter().sum();
-        let predicted = self.predict();
-        self.window_index += 1;
-
+    /// Judges one closed window whose per-instruction energy is `window`:
+    /// fills `v`'s prediction, flag and absorption from the window's
+    /// measured energy (`v.measured_j`). Clean windows are absorbed into
+    /// the baseline; flagged ones are recorded as events and never
+    /// absorbed, so a sustained drift keeps alarming.
+    pub fn judge(&mut self, window: &InstructionLedger, v: &mut WindowVerdict) {
+        let measured = v.measured_j;
+        let predicted = self.predict(window);
         let rel = if predicted > 0.0 {
             (measured - predicted) / predicted
         } else {
             0.0
         };
-        let in_warmup = window < self.cfg.warmup_windows;
+        let in_warmup = v.window < self.cfg.warmup_windows;
         let mut flagged = None;
         if !in_warmup && self.resid_primed {
             let sigma = self.resid_var.max(0.0).sqrt().max(self.cfg.sigma_floor);
@@ -337,8 +311,8 @@ impl AnomalyDetector {
             let deviation_pct = rel * 100.0;
             if z.abs() > self.cfg.z_threshold && deviation_pct.abs() >= self.cfg.min_deviation_pct {
                 let event = AnomalyEvent {
-                    window,
-                    start_cycle,
+                    window: v.window,
+                    start_cycle: v.start_cycle,
                     measured_j: measured,
                     predicted_j: predicted,
                     deviation_pct,
@@ -351,13 +325,7 @@ impl AnomalyDetector {
 
         let absorbed = flagged.is_none();
         if absorbed {
-            // Clean window: absorb it into the baseline and the residual
-            // statistics. Flagged windows are deliberately excluded so a
-            // sustained drift keeps alarming.
-            for i in 0..INSTRUCTION_COUNT {
-                self.base_energy[i] += self.win_energy[i];
-                self.base_count[i] += self.win_count[i];
-            }
+            self.baseline.merge(window);
             self.baseline_updates += 1;
             let a = self.cfg.ewma_alpha;
             if self.resid_primed {
@@ -371,18 +339,9 @@ impl AnomalyDetector {
                 self.resid_primed = true;
             }
         }
-
-        self.win_count = [0; INSTRUCTION_COUNT];
-        self.win_energy = [0.0; INSTRUCTION_COUNT];
-        self.cycle_in_window = 0;
-        WindowVerdict {
-            window,
-            start_cycle,
-            measured_j: measured,
-            predicted_j: predicted,
-            flagged,
-            absorbed,
-        }
+        v.predicted_j = predicted;
+        v.flagged = flagged;
+        v.absorbed = absorbed;
     }
 }
 
@@ -401,9 +360,63 @@ mod tests {
             .with_warmup_windows(3)
     }
 
+    /// Feeds a detector one cycle at a time, as the telemetry layer
+    /// does: cycles are booked into a window ledger, and every
+    /// `window_cycles` cycles the window is judged and a new one begins.
+    struct Feeder {
+        det: AnomalyDetector,
+        window: InstructionLedger,
+        cycles: u64,
+    }
+
+    impl Feeder {
+        fn new(cfg: AnomalyConfig) -> Self {
+            Feeder {
+                det: AnomalyDetector::new(cfg),
+                window: InstructionLedger::new(),
+                cycles: 0,
+            }
+        }
+
+        fn observe_verdict(&mut self, i: Instruction, joules: f64) -> Option<WindowVerdict> {
+            self.window.record(i, joules);
+            self.cycles += 1;
+            let window_cycles = self.det.config().window_cycles;
+            if !self.cycles.is_multiple_of(window_cycles) {
+                return None;
+            }
+            let w = self.cycles / window_cycles - 1;
+            let mut v = WindowVerdict::unjudged(w, w * window_cycles, self.window.total_energy());
+            self.det.judge(&self.window, &mut v);
+            self.window = InstructionLedger::new();
+            Some(v)
+        }
+
+        fn observe(&mut self, i: Instruction, joules: f64) -> Option<AnomalyEvent> {
+            self.observe_verdict(i, joules).and_then(|v| v.flagged)
+        }
+
+        /// Drops the partial trailing window, which is never judged.
+        fn finish(&mut self) {
+            self.window = InstructionLedger::new();
+        }
+
+        fn cycles(&self) -> u64 {
+            self.cycles
+        }
+    }
+
+    impl std::ops::Deref for Feeder {
+        type Target = AnomalyDetector;
+
+        fn deref(&self) -> &AnomalyDetector {
+            &self.det
+        }
+    }
+
     #[test]
     fn steady_stream_never_alarms() {
-        let mut det = AnomalyDetector::new(cfg());
+        let mut det = Feeder::new(cfg());
         let a = insn(ActivityMode::Read, ActivityMode::Read);
         let b = insn(ActivityMode::Read, ActivityMode::Write);
         for c in 0..5_000u64 {
@@ -421,7 +434,7 @@ mod tests {
 
     #[test]
     fn small_noise_stays_silent() {
-        let mut det = AnomalyDetector::new(cfg());
+        let mut det = Feeder::new(cfg());
         let a = insn(ActivityMode::Write, ActivityMode::Write);
         for c in 0..10_000u64 {
             // ±2% deterministic ripple: below the 5% deviation gate.
@@ -434,7 +447,7 @@ mod tests {
 
     #[test]
     fn step_change_is_flagged_within_one_window() {
-        let mut det = AnomalyDetector::new(cfg());
+        let mut det = Feeder::new(cfg());
         let a = insn(ActivityMode::Read, ActivityMode::Read);
         for _ in 0..1_000u64 {
             assert!(det.observe(a, 2.0e-12).is_none());
@@ -460,7 +473,7 @@ mod tests {
 
     #[test]
     fn sustained_drift_keeps_alarming() {
-        let mut det = AnomalyDetector::new(cfg());
+        let mut det = Feeder::new(cfg());
         let a = insn(ActivityMode::Read, ActivityMode::Read);
         for _ in 0..1_000u64 {
             det.observe(a, 2.0e-12);
@@ -478,7 +491,7 @@ mod tests {
 
     #[test]
     fn unseen_instruction_mix_does_not_alarm() {
-        let mut det = AnomalyDetector::new(cfg());
+        let mut det = Feeder::new(cfg());
         let a = insn(ActivityMode::Idle, ActivityMode::Idle);
         for _ in 0..1_000u64 {
             det.observe(a, 1.0e-12);
@@ -495,7 +508,7 @@ mod tests {
 
     #[test]
     fn partial_trailing_window_is_dropped() {
-        let mut det = AnomalyDetector::new(cfg());
+        let mut det = Feeder::new(cfg());
         let a = insn(ActivityMode::Read, ActivityMode::Read);
         for _ in 0..1_000u64 {
             det.observe(a, 2.0e-12);
@@ -533,7 +546,7 @@ mod tests {
 
     #[test]
     fn verdicts_report_absorption_and_count_baseline_updates() {
-        let mut det = AnomalyDetector::new(cfg());
+        let mut det = Feeder::new(cfg());
         let a = insn(ActivityMode::Read, ActivityMode::Read);
         let mut verdicts = Vec::new();
         for _ in 0..1_000u64 {

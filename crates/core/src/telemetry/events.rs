@@ -556,16 +556,11 @@ pub struct EventsTap {
     cur_window: u64,
     /// First cycle index beyond `cur_window`.
     cur_window_end: u64,
-    // Fallback windowed energy accounting, used only when no anomaly
-    // detector supplies WindowVerdicts.
-    win_energy: f64,
-    win_cycles: u64,
-    window: u64,
 }
 
 impl EventsTap {
     /// Creates a tap publishing into `bus`; `window_cycles` must match
-    /// the anomaly detector's window so window ids line up (clamped to
+    /// the telemetry window clock so window ids line up (clamped to
     /// ≥ 1).
     pub fn new(bus: Arc<EventBus>, window_cycles: u64) -> Self {
         EventsTap {
@@ -577,9 +572,6 @@ impl EventsTap {
             window_cycles: window_cycles.max(1),
             cur_window: 0,
             cur_window_end: 0,
-            win_energy: 0.0,
-            win_cycles: 0,
-            window: 0,
         }
     }
 
@@ -697,7 +689,9 @@ impl EventsTap {
     /// Publishes the event train for one closed detection window: always
     /// [`EventKind::EnergyBooked`], plus [`EventKind::AnomalyFlagged`]
     /// when flagged and [`EventKind::BaselineUpdated`] when the window
-    /// was absorbed into the baseline.
+    /// was absorbed into the baseline. Nothing is published while the
+    /// ring is disabled; the window clock that closes windows is the
+    /// telemetry layer's, so later windows keep their ids.
     pub fn publish_window(&mut self, v: &WindowVerdict) {
         if !self.bus.is_enabled() {
             return;
@@ -739,37 +733,6 @@ impl EventsTap {
                 a: v.measured_j,
                 b: v.predicted_j,
             });
-        }
-    }
-
-    /// Fallback windowed energy accounting for sessions without an
-    /// anomaly detector: accumulates per-cycle energy and publishes an
-    /// [`EventKind::EnergyBooked`] event (predicted = measured) whenever
-    /// a window's worth of cycles has been booked.
-    #[inline]
-    pub fn observe_energy(&mut self, joules: f64) {
-        if !self.bus.is_enabled() {
-            return;
-        }
-        self.win_energy += joules;
-        self.win_cycles += 1;
-        if self.win_cycles >= self.window_cycles {
-            let window = self.window;
-            self.window += 1;
-            self.flush();
-            self.bus.publish(Event {
-                seq: 0,
-                kind: EventKind::EnergyBooked,
-                slice: self.slice,
-                txn: 0,
-                window,
-                cycle: window * self.window_cycles,
-                tag: 0,
-                a: self.win_energy,
-                b: self.win_energy,
-            });
-            self.win_energy = 0.0;
-            self.win_cycles = 0;
         }
     }
 

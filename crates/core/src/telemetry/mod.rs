@@ -15,6 +15,14 @@
 //! ledgers and any kernel profile into a [`MetricsRegistry`], which the
 //! exporters render in three formats.
 //!
+//! Detection windows have one clock and one book: with an anomaly
+//! detector, an observatory or an event ring attached, each cycle's
+//! energy is booked once into the window's energy book (per instruction,
+//! per sub-block and per bus owner, as the power FSM books it), and every
+//! `window_cycles` cycles the closed window is judged by the detector,
+//! ingested by the observatory and published by the event tap, all from
+//! that one book.
+//!
 //! ```
 //! use ahbpower::telemetry::{Telemetry, TelemetryConfig};
 //! use ahbpower::{AnalysisConfig, PowerSession};
@@ -74,8 +82,10 @@ use ahbpower_ahb::{BusPerfAnalyzer, BusSnapshot, PhaseDecoder};
 use ahbpower_sim::{KernelProfile, KernelStats};
 
 use crate::instruction::Instruction;
+use crate::ledger::EnergyBook;
 use crate::macromodel::BlockEnergy;
 use crate::power_fsm::PowerFsm;
+use crate::replay::{MASTER_MASK, MASTER_SHIFT};
 
 /// Runtime switchboard for the telemetry subsystem. Default: disabled.
 #[derive(Debug, Clone)]
@@ -153,9 +163,10 @@ impl TelemetryConfig {
 }
 
 /// Live telemetry state for one analysis run: the phase decoder and the
-/// bus-performance analyzer fed per cycle, the span set timing the
-/// observer loop, and the registry everything is published into at the
-/// end.
+/// bus-performance analyzer fed per cycle, the window clock and window
+/// book the anomaly detector, observatory and event tap read, the span
+/// set timing the observer loop, and the registry everything is
+/// published into at the end.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     config: TelemetryConfig,
@@ -167,6 +178,12 @@ pub struct Telemetry {
     anomaly: Option<AnomalyDetector>,
     events: Option<EventsTap>,
     observatory: Option<Box<Observatory>>,
+    /// The open window's energy, booked once per cycle; `None` when no
+    /// detector, observatory or event ring reads windows.
+    window_book: Option<Box<EnergyBook>>,
+    /// Index of the open window; it starts at `window * window_cycles`.
+    window: u64,
+    window_cycles: u64,
     finalized: bool,
 }
 
@@ -176,8 +193,8 @@ impl Telemetry {
         let mut spans = SpanSet::new();
         let observe_span = spans.register("session_observe");
         let anomaly = config.anomaly.clone().map(AnomalyDetector::new);
-        // Window ids in events must line up with the detector's windows;
-        // without a detector, the tap falls back to the default window.
+        // One window clock for the detector, the observatory and the
+        // event tap: the detector's window, or the default without one.
         let window_cycles = config.anomaly.as_ref().map_or_else(
             || AnomalyConfig::default().window_cycles,
             |a| a.window_cycles,
@@ -190,6 +207,7 @@ impl Telemetry {
             .observatory
             .clone()
             .map(|o| Box::new(Observatory::new(o, n_masters, window_cycles)));
+        let reads_windows = anomaly.is_some() || events.is_some() || observatory.is_some();
         Telemetry {
             config,
             registry: MetricsRegistry::new(),
@@ -200,6 +218,9 @@ impl Telemetry {
             anomaly,
             events,
             observatory,
+            window_book: reads_windows.then(|| Box::new(EnergyBook::new())),
+            window: 0,
+            window_cycles: window_cycles.max(1),
             finalized: false,
         }
     }
@@ -235,37 +256,53 @@ impl Telemetry {
         self.spans.record_n(self.observe_span, elapsed, cycles);
     }
 
-    /// Feeds one cycle's instruction and per-block energy (attributed
-    /// to `master`) to the anomaly detector and the observatory (each a
-    /// no-op when not configured) and publishes any closed window's
-    /// verdict into the event ring.
+    /// Books one cycle's instruction and per-block energy, attributed to
+    /// bus owner `master` (an HMASTER value), into the window book. Once
+    /// the window holds `window_cycles` cycles it closes: the anomaly
+    /// detector judges it, the observatory ingests it and the event ring
+    /// gets its verdict (each a no-op when not configured). Without a
+    /// detector the verdict predicts the measured energy.
     #[inline]
     pub fn observe_power(&mut self, instruction: Instruction, energy: &BlockEnergy, master: usize) {
-        let joules = energy.total();
+        let Some(book) = &mut self.window_book else {
+            return;
+        };
+        // The activity word's instruction and owner fields, which is all
+        // the book reads of a word.
+        let word = instruction.index() as u64 | ((master as u64 & MASTER_MASK) << MASTER_SHIFT);
+        book.book(word, *energy);
+        if book.blocks.cycles() >= self.window_cycles {
+            self.close_window();
+        }
+    }
+
+    /// Closes the open window: judges it, hands it to the observatory and
+    /// the event ring, and starts the next one with an empty book.
+    #[cold]
+    fn close_window(&mut self) {
+        let Some(book) = self.window_book.as_deref_mut() else {
+            return;
+        };
+        let start_cycle = self.window * self.window_cycles;
+        let mut verdict =
+            WindowVerdict::unjudged(self.window, start_cycle, book.ledger.total_energy());
+        if let Some(d) = &mut self.anomaly {
+            d.judge(&book.ledger, &mut verdict);
+        }
         if let Some(o) = &mut self.observatory {
-            o.observe_cycle(master, energy);
+            let txn_total = self.events.as_ref().map_or(0, EventsTap::transactions);
+            o.ingest(
+                &verdict,
+                book.blocks.totals(),
+                book.per_master_energy(),
+                txn_total,
+            );
         }
-        let txn_total = self.events.as_ref().map_or(0, EventsTap::transactions);
-        match &mut self.anomaly {
-            Some(d) => {
-                if let Some(v) = d.observe_verdict(instruction, joules) {
-                    if let Some(o) = &mut self.observatory {
-                        o.close_window(&v, txn_total);
-                    }
-                    if let Some(t) = &mut self.events {
-                        t.publish_window(&v);
-                    }
-                }
-            }
-            None => {
-                if let Some(o) = &mut self.observatory {
-                    o.close_window_if_due(txn_total);
-                }
-                if let Some(t) = &mut self.events {
-                    t.observe_energy(joules);
-                }
-            }
+        if let Some(t) = &mut self.events {
+            t.publish_window(&verdict);
         }
+        book.clear();
+        self.window += 1;
     }
 
     /// The anomaly detector (`None` when not configured).
@@ -350,8 +387,7 @@ impl Telemetry {
         publish_bus_perf(&mut self.registry, &self.perf);
         publish_power(&mut self.registry, fsm);
         publish_spans(&mut self.registry, &self.spans);
-        if let Some(d) = &mut self.anomaly {
-            d.finish();
+        if let Some(d) = &self.anomaly {
             let windows = self.registry.counter(
                 "energy_anomaly_windows_total",
                 "Detection windows judged by the anomaly detector.",
@@ -470,6 +506,40 @@ mod tests {
         assert!(cfg.enabled);
         assert_eq!(cfg.scenario, "x");
         assert_eq!(cfg.seed, 7);
+    }
+
+    #[test]
+    fn detectorless_windows_close_every_window_cycles() {
+        use crate::instruction::ActivityMode;
+
+        let cfg = TelemetryConfig::enabled("plain").with_observatory(ObservatoryConfig::default());
+        let mut t = Telemetry::new(cfg, 1);
+        let insn = Instruction::new(ActivityMode::Idle, ActivityMode::Idle);
+        let e = BlockEnergy {
+            dec: 1.0e-13,
+            m2s: 1.0e-13,
+            s2m: 1.0e-13,
+            arb: 1.0e-13,
+        };
+        let windows = |t: &Telemetry| t.observatory().map(Observatory::windows_ingested);
+        for _ in 1..AnomalyConfig::default().window_cycles {
+            t.observe_power(insn, &e, 0);
+            assert_eq!(windows(&t), Some(0));
+        }
+        t.observe_power(insn, &e, 0);
+        assert_eq!(windows(&t), Some(1));
+        let obs = t.observatory().expect("observatory attached");
+        let energy = obs.query("energy", 0, 0, 1).expect("known series").points[0].sum;
+        let predicted = obs
+            .query("predicted", 0, 0, 1)
+            .expect("known series")
+            .points[0]
+            .sum;
+        assert!(energy > 0.0);
+        assert_eq!(
+            energy, predicted,
+            "predicted mirrors measured without a detector"
+        );
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! rounding (the workspace pins 1e-9 relative) and coarser levels always
 //! retain at least as much history as finer ones.
 //!
-//! The per-cycle ingest path ([`Observatory::observe_cycle`]) and the
-//! per-window close path ([`Observatory::close_window`]) are
+//! The observatory sees no cycles: [`crate::telemetry::Telemetry`] books
+//! each window into its window book and hands the closed window over as
+//! plain values. The ingest path ([`Observatory::ingest`]) is
 //! allocation-free: all ring storage is preallocated flat arrays, and a
-//! window close touches a constant number of slots (one per level).
+//! window touches a constant number of slots (one per level).
 //! Queries ([`Observatory::query`]) and snapshots
 //! ([`Observatory::to_jsonl`]) allocate freely — they run on the serve
 //! HTTP thread or offline, never in the simulation hot loop.
@@ -161,12 +162,6 @@ pub struct Observatory {
     n_masters: usize,
     series: Vec<String>,
     levels: Vec<Level>,
-    // Per-window accumulators, reset at every window close.
-    win_master: Vec<f64>,
-    win_block: BlockEnergy,
-    cycle_in_window: u64,
-    cycles_total: u64,
-    next_window: u64,
     windows_ingested: u64,
     last_txn_total: u64,
     /// Preallocated per-series scratch the close path writes the
@@ -197,11 +192,6 @@ impl Observatory {
             n_masters,
             series,
             levels,
-            win_master: vec![0.0; n_masters],
-            win_block: BlockEnergy::default(),
-            cycle_in_window: 0,
-            cycles_total: 0,
-            next_window: 0,
             windows_ingested: 0,
             last_txn_total: 0,
             sample: vec![0.0; n_series],
@@ -245,89 +235,47 @@ impl Observatory {
         self.levels.get(level).map_or(0, |l| l.opened)
     }
 
-    /// Feeds one cycle's per-block energy, attributed to `master`.
-    /// Allocation-free; constant work per cycle.
-    #[inline]
-    pub fn observe_cycle(&mut self, master: usize, energy: &BlockEnergy) {
-        self.win_block += *energy;
-        if let Some(m) = self.win_master.get_mut(master) {
-            *m += energy.total();
-        }
-        self.cycle_in_window += 1;
-        self.cycles_total += 1;
-    }
-
-    /// Ingests the raw sample for a window the anomaly detector just
-    /// closed. `txn_total` is the session's cumulative completed-
-    /// transaction count; the observatory differences it into a
-    /// per-window rate. Allocation-free; constant work per window.
-    #[inline]
-    pub fn close_window(&mut self, v: &WindowVerdict, txn_total: u64) {
-        let flagged = if v.flagged.is_some() { 1.0 } else { 0.0 };
-        self.ingest(
-            v.window,
-            v.start_cycle,
-            v.measured_j,
-            v.predicted_j,
-            flagged,
-            txn_total,
-        );
-    }
-
-    /// Window close for sessions without an anomaly detector: once a
-    /// window's worth of cycles has accumulated, ingests it with the
-    /// measured energy standing in for the prediction. Returns `true`
-    /// when a window closed. Allocation-free.
-    #[inline]
-    pub fn close_window_if_due(&mut self, txn_total: u64) -> bool {
-        if self.cycle_in_window < self.window_cycles {
-            return false;
-        }
-        let window = self.next_window;
-        let start_cycle = self.cycles_total - self.cycle_in_window;
-        let measured = self.win_block.total();
-        self.ingest(window, start_cycle, measured, measured, 0.0, txn_total);
-        true
-    }
-
-    /// Folds one raw window into all three levels and resets the
-    /// per-window accumulators.
-    fn ingest(
+    /// Ingests the raw sample of one closed window: the verdict's
+    /// measured and predicted energy and flag, the window's per-block
+    /// totals `blocks`, its per-master energy `masters` (index = master;
+    /// missing slots read as zero) and `txn_total`, the session's
+    /// cumulative completed-transaction count, which the observatory
+    /// differences into a per-window count. Folds the sample into all
+    /// three levels. Allocation-free; constant work per window.
+    pub fn ingest(
         &mut self,
-        window: u64,
-        start_cycle: u64,
-        measured_j: f64,
-        predicted_j: f64,
-        flagged: f64,
+        v: &WindowVerdict,
+        blocks: BlockEnergy,
+        masters: &[f64],
         txn_total: u64,
     ) {
         let txns = txn_total.saturating_sub(self.last_txn_total);
         self.last_txn_total = txn_total;
-        self.sample[0] = measured_j;
-        self.sample[1] = predicted_j;
+        self.sample[0] = v.measured_j;
+        self.sample[1] = v.predicted_j;
         self.sample[2] = txns as f64;
-        self.sample[3] = flagged;
+        self.sample[3] = if v.flagged.is_some() { 1.0 } else { 0.0 };
         let mut s = FIXED_SERIES.len();
         for m in 0..self.n_masters {
-            self.sample[s] = self.win_master[m];
+            self.sample[s] = masters.get(m).copied().unwrap_or(0.0);
             s += 1;
         }
-        self.sample[s] = self.win_block.dec;
-        self.sample[s + 1] = self.win_block.m2s;
-        self.sample[s + 2] = self.win_block.s2m;
-        self.sample[s + 3] = self.win_block.arb;
+        self.sample[s] = blocks.dec;
+        self.sample[s + 1] = blocks.m2s;
+        self.sample[s + 2] = blocks.s2m;
+        self.sample[s + 3] = blocks.arb;
 
         let n_series = self.sample.len();
         let capacity = self.capacity as u64;
         let sample = &self.sample;
         for level in &mut self.levels {
-            let bucket = window / level.factor;
+            let bucket = v.window / level.factor;
             let slot = (bucket % capacity) as usize;
             let base = slot * n_series;
             if level.ids[slot] != bucket {
                 level.ids[slot] = bucket;
                 level.windows[slot] = 0;
-                level.start_cycle[slot] = start_cycle;
+                level.start_cycle[slot] = v.start_cycle;
                 level.opened += 1;
                 for x in 0..n_series {
                     level.min[base + x] = f64::INFINITY;
@@ -337,26 +285,20 @@ impl Observatory {
                 }
             }
             level.windows[slot] += 1;
-            for (x, &v) in sample.iter().enumerate() {
+            for (x, &value) in sample.iter().enumerate() {
                 let i = base + x;
-                if v < level.min[i] {
-                    level.min[i] = v;
+                if value < level.min[i] {
+                    level.min[i] = value;
                 }
-                if v > level.max[i] {
-                    level.max[i] = v;
+                if value > level.max[i] {
+                    level.max[i] = value;
                 }
-                level.sum[i] += v;
-                level.last[i] = v;
+                level.sum[i] += value;
+                level.last[i] = value;
             }
         }
 
         self.windows_ingested += 1;
-        self.next_window = window + 1;
-        for m in &mut self.win_master {
-            *m = 0.0;
-        }
-        self.win_block = BlockEnergy::default();
-        self.cycle_in_window = 0;
     }
 
     /// The level a query at `step` (raw windows per point) resolves to:
@@ -496,6 +438,18 @@ mod tests {
         Observatory::new(ObservatoryConfig::default().with_capacity(16), 2, 100)
     }
 
+    /// Books `cycles` cycles of energy `e` into per-block and per-master
+    /// window totals, the owner alternating over `n_masters` masters.
+    fn book_window(cycles: u64, e: BlockEnergy, n_masters: usize) -> (BlockEnergy, Vec<f64>) {
+        let mut blocks = BlockEnergy::default();
+        let mut masters = vec![0.0; n_masters];
+        for c in 0..cycles {
+            blocks += e;
+            masters[c as usize % n_masters] += e.total();
+        }
+        (blocks, masters)
+    }
+
     /// Feeds one full window of uniform per-cycle energy and closes it
     /// through the detector-verdict path.
     fn feed_window(obs: &mut Observatory, w: u64, per_cycle: f64, flagged: bool, txn_total: u64) {
@@ -505,9 +459,7 @@ mod tests {
             s2m: per_cycle * 0.3,
             arb: per_cycle * 0.2,
         };
-        for c in 0..100u64 {
-            obs.observe_cycle((c % 2) as usize, &e);
-        }
+        let (blocks, masters) = book_window(100, e, 2);
         let measured = per_cycle * 100.0;
         let v = WindowVerdict {
             window: w,
@@ -524,7 +476,7 @@ mod tests {
             }),
             absorbed: !flagged,
         };
-        obs.close_window(&v, txn_total);
+        obs.ingest(&v, blocks, &masters, txn_total);
     }
 
     #[test]
@@ -663,12 +615,9 @@ mod tests {
             s2m: 1.0e-13,
             arb: 1.0e-13,
         };
-        for _ in 0..99 {
-            obs.observe_cycle(0, &e);
-            assert!(!obs.close_window_if_due(0));
-        }
-        obs.observe_cycle(0, &e);
-        assert!(obs.close_window_if_due(4));
+        let (blocks, masters) = book_window(100, e, 1);
+        let v = WindowVerdict::unjudged(0, 0, blocks.total());
+        obs.ingest(&v, blocks, &masters, 4);
         assert_eq!(obs.windows_ingested(), 1);
         let q = obs.query("energy", 0, 0, 1).expect("known series");
         assert_eq!(q.points.len(), 1);

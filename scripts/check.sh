@@ -254,30 +254,35 @@ echo "  baseline ok (self-compare clean, injected fault trips the gate)"
 
 echo "== benchmark smoke (perfbench, 1 s per workload) =="
 # The BENCHMARK.json command on every workload at seed 7 for one second,
-# tracing off. Each run must exit 0, fail no output check, and print the
-# digest pinned here: the digest is a function of the traffic alone, so
-# a change to what the bus runs (or a broken output check) fails CI
-# instead of surfacing only when the benchmark is next compared.
-for PINNED in paper-explore:ee1070b12d54e37d soc-live:8375a5cdcbaf52bf \
-              serve-read:cf58f5d072dd737e; do
+# tracing off, plus soc-live with tracing on: its traced twin feeds
+# `Telemetry` in batches through the same public calls, so it must
+# print the same digest. Each run must exit 0, fail no output check,
+# and print the digest pinned here: the digest is a function of the
+# traffic alone, so a change to what the bus runs (or a broken output
+# check) fails CI instead of surfacing only when the benchmark is next
+# compared.
+for PINNED in paper-explore:ee1070b12d54e37d:0 soc-live:8375a5cdcbaf52bf:0 \
+              soc-live:8375a5cdcbaf52bf:1 serve-read:cf58f5d072dd737e:0; do
     WORKLOAD="${PINNED%%:*}"
-    DIGEST="${PINNED##*:}"
+    TRACE="${PINNED##*:}"
+    DIGEST="${PINNED#*:}"
+    DIGEST="${DIGEST%%:*}"
     if ! BENCH_OUT="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml \
-        -- --workload "$WORKLOAD" --seed 7 --seconds 1 --trace 0)"; then
+        -- --workload "$WORKLOAD" --seed 7 --seconds 1 --trace "$TRACE")"; then
         printf '%s\n' "$BENCH_OUT" | tail -5 >&2
-        echo "  ERROR: perfbench $WORKLOAD exited non-zero" >&2
+        echo "  ERROR: perfbench $WORKLOAD (trace $TRACE) exited non-zero" >&2
         exit 1
     fi
     if ! grep -q '"failed":0,' <<< "$BENCH_OUT"; then
         printf '%s\n' "$BENCH_OUT" | grep "CHECK FAILED" >&2 || true
-        echo "  ERROR: perfbench $WORKLOAD failed an output check" >&2
+        echo "  ERROR: perfbench $WORKLOAD (trace $TRACE) failed an output check" >&2
         exit 1
     fi
     if ! grep -q "\"digest\":\"$DIGEST\"" <<< "$BENCH_OUT"; then
-        echo "  ERROR: perfbench $WORKLOAD digest changed (pinned $DIGEST)" >&2
+        echo "  ERROR: perfbench $WORKLOAD (trace $TRACE) digest changed (pinned $DIGEST)" >&2
         exit 1
     fi
-    echo "  $WORKLOAD ok (digest $DIGEST, failed 0)"
+    echo "  $WORKLOAD trace $TRACE ok (digest $DIGEST, failed 0)"
 done
 
 echo "ALL CHECKS PASSED"
